@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python -m pytest tests -q "$@"
 
+# Benchmark self-tests (seconds, no workload runs): they import the library
+# the way perfbench/run.py does, so a src/ change that breaks the
+# benchmark's calls (e.g. the Server keyword set it passes) fails here.
+python -m pytest perfbench -q -p no:cacheprovider
+
 # Serve smoke: artifact -> session -> server round trip (seconds, no
 # training), including two deterministic chaos legs (REPRO_FAULTS env knob
 # and a programmatic FaultPlan) that pin crash-restart bitwise parity,

@@ -2,8 +2,8 @@
 
 The environment has no network access and an older setuptools without PEP 660
 editable-wheel support, so ``pip install -e .`` falls back to
-``setup.py develop`` through this shim.  All project metadata lives in
-``pyproject.toml``.
+``setup.py develop`` through this shim.  All project metadata lives here,
+in the ``setup()`` call below.
 """
 
 from setuptools import find_packages, setup

@@ -2,10 +2,14 @@
 
 A :class:`Server` accepts single-example requests from any number of client
 threads and executes them on worker threads with **dynamic micro-batching**:
-a worker drains the request queue, waiting up to ``max_wait_ms`` after the
-first request to coalesce up to ``max_batch`` examples into one forward pass
-— the classic latency/throughput trade the GEMM-heavy runtime rewards, since
-a batch-32 forward costs far less than 32 batch-1 forwards.
+a worker drains the request queue, coalescing up to ``max_batch`` examples
+into one forward pass — the classic latency/throughput trade the GEMM-heavy
+runtime rewards, since a batch-32 forward costs far less than 32 batch-1
+forwards.  The coalescing window opens only under backlog: a worker that
+pops a request and finds the queue empty runs it at once, while one that
+finds other requests already waiting keeps collecting batch-mates for up to
+``max_wait_ms``.  Light load therefore pays no batching delay, and under
+load — the only time batch-mates exist — batches fill as before.
 
 With ``workers > 1`` the server runs that loop on several threads, each
 owning an independent session (via :meth:`InferenceSession.clone`), all
@@ -156,6 +160,9 @@ class ServerStats:
     sample history.  Queue wait is ``dequeued_at - enqueued_at`` (time
     spent waiting for a worker); service time is everything after the
     pop, including the batch-assembly wait the worker spends coalescing.
+    ``windowed_batches`` counts the batches whose worker found a backlog
+    and opened the ``max_wait_ms`` window; the rest of ``batches`` ran
+    their first request at once.
 
     Resilience events are plain counters: ``rejected`` (admission sheds —
     queue overflow or quarantined payload), ``expired`` (deadlines hit at
@@ -175,6 +182,7 @@ class ServerStats:
         self.cache_hits = 0
         self.batches = 0
         self.batched_examples = 0
+        self.windowed_batches = 0
         self.rejected = 0
         self.expired = 0
         self.restarts = 0
@@ -197,6 +205,7 @@ class ServerStats:
             self.cache_hits = 0
             self.batches = 0
             self.batched_examples = 0
+            self.windowed_batches = 0
             self.rejected = 0
             self.expired = 0
             self.restarts = 0
@@ -237,6 +246,11 @@ class ServerStats:
         with self._lock:
             self.quarantined += 1
 
+    def record_windowed(self) -> None:
+        """Count one batch that found a backlog and opened the wait window."""
+        with self._lock:
+            self.windowed_batches += 1
+
     def record_batch(
         self,
         size: int,
@@ -271,6 +285,7 @@ class ServerStats:
                     self.batched_examples / self.batches if self.batches else 0.0
                 ),
                 "batch_size_dist": dict(sorted(self._batch_sizes.items())),
+                "windowed_batches": float(self.windowed_batches),
                 "throughput_rps": self.requests / elapsed if elapsed > 0 else 0.0,
                 "rejected": float(self.rejected),
                 "expired": float(self.expired),
@@ -310,9 +325,13 @@ class Server:
     max_batch:
         Largest number of requests fused into one forward pass.
     max_wait_ms:
-        How long a worker waits after the first queued request for more
-        requests to coalesce.  0 disables batching delay (latency-optimal);
-        a couple of milliseconds already fills batches under load.
+        Length of the coalescing window: how long a worker keeps collecting
+        batch-mates after popping a request that has others queued behind
+        it.  The window opens only under such a backlog — a request that
+        finds the queue empty runs at once — so this bounds the batching
+        delay under load and costs nothing at light load.  0 disables the
+        window entirely; a couple of milliseconds already fills batches
+        under load.
     cache_size:
         Number of responses kept in the LRU response cache; 0 disables
         caching.  Keys are the exact request bytes, so only byte-identical
@@ -673,7 +692,14 @@ class Server:
             first.dequeued_at = time.perf_counter()
             slot.inflight.append(first)
             batch: List[_Request] = [first]
-            deadline = first.dequeued_at + self.max_wait_s
+            # Coalescing pays only under load, which is exactly when a
+            # backlog exists.  A request that finds the queue empty runs at
+            # once (the loop below only sweeps up what is already queued)
+            # rather than waiting for batch-mates that rarely arrive.
+            deadline = first.dequeued_at
+            if not self._queue.empty():
+                deadline += self.max_wait_s
+                self.stats.record_windowed()
             drained_sentinel = False
             while len(batch) < self.max_batch:
                 remaining = deadline - time.perf_counter()

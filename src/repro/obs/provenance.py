@@ -9,6 +9,8 @@ interpreter, and knob settings that produced it.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 import platform
 import subprocess
@@ -42,14 +44,51 @@ def git_sha(root: Optional[str] = None) -> str:
         return "unknown"
 
 
+def blas_block() -> Dict[str, object]:
+    """BLAS vendor, version and live OpenBLAS thread count — read, never set.
+
+    The BLAS pool's thread count changes GEMM timings as much as
+    ``REPRO_NUM_THREADS`` does, so it is read back from the loaded library
+    (``ctypes``) rather than inferred from ``OPENBLAS_NUM_THREADS``, which
+    is recorded alongside.  Fields degrade to ``"unavailable (...)"``
+    strings on builds without a bundled OpenBLAS.
+    """
+    import numpy as np
+
+    info: Dict[str, object] = {}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        info["blas_vendor"] = blas.get("name")
+        info["blas_version"] = blas.get("version")
+    except (KeyError, TypeError, ValueError) as error:
+        info["blas_vendor"] = f"unknown ({error})"
+        info["blas_version"] = "unknown"
+    libs = glob.glob(
+        os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "libscipy_openblas*")
+    )
+    threads: object = "unavailable"
+    if libs:
+        try:
+            getter = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            threads = getter()
+        except (OSError, AttributeError) as error:
+            threads = f"unavailable ({error})"
+    info["blas_threads"] = threads
+    info["openblas_num_threads_env"] = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return info
+
+
 def environment_block() -> Dict[str, object]:
     """Interpreter + machine + compute-runtime metadata recorded per run.
 
     The thread configuration is part of a result's identity: runs recorded
     at different ``REPRO_NUM_THREADS`` (or on hosts with different core
     counts) must never be silently compared, so both are recorded — as are
-    the arena, int-GEMM, and telemetry knobs, and the git SHA of the
-    checkout that produced the numbers.
+    the arena, int-GEMM, and telemetry knobs, the BLAS build and its live
+    thread count (:func:`blas_block`), and the git SHA of the checkout that
+    produced the numbers.
     """
     import numpy as np
 
@@ -58,7 +97,7 @@ def environment_block() -> Dict[str, object]:
         threads: object = num_threads()
     except Exception:  # library not importable (foreign checkout): raw env
         threads = os.environ.get("REPRO_NUM_THREADS", "unset")
-    return {
+    block: Dict[str, object] = {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
@@ -70,6 +109,8 @@ def environment_block() -> Dict[str, object]:
         "repro_int_gemm": os.environ.get("REPRO_INT_GEMM", "unset"),
         "repro_telemetry": os.environ.get("REPRO_TELEMETRY", "unset"),
     }
+    block.update(blas_block())
+    return block
 
 
 #: Fields a run manifest must carry for the run to count as reproducible

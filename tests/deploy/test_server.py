@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.deploy import InferenceSession, Server, load_artifact, save_artifact
+from repro.deploy import FaultPlan, InferenceSession, Server, load_artifact, save_artifact
 from tests.deploy.conftest import frozen_mixed_model
 
 
@@ -218,3 +218,32 @@ def test_request_ids_are_sequential(session, rng):
     with Server(session, max_batch=4, max_wait_ms=0.0) as server:
         server.predict_many(_examples(rng, 3))
         assert server.stats.requests == 3
+
+
+def test_lone_request_skips_the_coalescing_window(session, rng):
+    """A request that finds an idle server runs at once, not after max_wait_ms."""
+    example = _examples(rng, 1)[0]
+    with Server(session, max_batch=8, max_wait_ms=500.0) as server:
+        got = server.predict(example)
+    # Snapshot after stop(): the worker records stats after resolving futures.
+    stats = server.stats.snapshot()
+    np.testing.assert_allclose(got, session.run(example[None])[0], atol=1e-6)
+    # Waiting out the window would make this at least 500 ms.
+    assert stats["service_p99_ms"] < 250.0
+    assert stats["batches"] == 1
+    assert stats["windowed_batches"] == 0
+
+
+def test_backlog_behind_a_stall_is_coalesced(session, rng):
+    """Requests that pile up behind a busy worker still share forward passes."""
+    examples = _examples(rng, 8)
+    faults = FaultPlan(seed=0).slow_at(0, ms=300)
+    with Server(session, max_batch=8, max_wait_ms=50.0, faults=faults) as server:
+        stalled = server.submit(examples[0])
+        futures = [server.submit(x) for x in examples[1:]]
+        got = [stalled.result(timeout=10.0)] + [f.result(timeout=10.0) for f in futures]
+    stats = server.stats.snapshot()
+    np.testing.assert_allclose(np.stack(got), session.run(np.stack(examples)), atol=1e-5)
+    assert stats["served"] == 8
+    assert stats["windowed_batches"] >= 1
+    assert max(stats["batch_size_dist"]) > 1

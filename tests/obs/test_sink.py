@@ -112,6 +112,8 @@ class TestManifest:
             assert field in environment, field
         assert environment["numpy"] == np.__version__
         assert environment["cpu_count"] == os.cpu_count()
+        for field in ("blas_vendor", "blas_version", "blas_threads", "openblas_num_threads_env"):
+            assert field in environment, field
 
     def test_validate_manifest_reports_missing(self):
         manifest = run_manifest("x")
