@@ -116,7 +116,6 @@ def run_suites(
     """Run the named suites and return the JSON-serializable results document."""
     # Import for side effects: suite registration.
     from benchmarks.perf import (  # noqa: F401
-        intgemm_bench,
         ops_bench,
         runtime_bench,
         serve_bench,

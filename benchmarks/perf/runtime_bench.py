@@ -1,17 +1,14 @@
-"""Compute-runtime benchmarks: thread scaling, arena on/off, prefetch.
+"""Compute-runtime benchmarks: arena on/off, prefetch.
 
 The ``runtime`` suite measures the levers the shared compute runtime adds on
 top of the vectorized kernels:
 
-* ``conv2d_fwd_bwd_t{1,2,4}`` — the conv train-step kernel under 1/2/4
-  compute threads (the thread-scaling curve; flat on a single-core host);
-* ``gemm_shard_t{1,2,4}`` — a bare ``parallel_gemm`` of serving-sized shape;
-* ``conv2d_fwd_bwd_arena_{on,off}`` — the same kernel with the buffer arena
-  pooling enabled vs. bypassed (``np.empty`` per intermediate);
+* ``conv2d_fwd_bwd_arena_{on,off}`` — the conv train-step kernel with the
+  buffer arena pooling enabled vs. bypassed (``np.empty`` per intermediate);
 * ``dataloader_prefetch_{off,on}`` — one epoch of the synthetic loader with
   and without the background prefetch worker.
 
-Every case restores the global thread/arena configuration in its teardown,
+Every case restores the global arena configuration in its teardown,
 so suite order cannot leak state into later cases.
 """
 
@@ -27,20 +24,16 @@ _SCALES = {
     "quick": {
         "conv_x": (50, 16, 12, 12),
         "conv_w": (32, 16, 3, 3),
-        "gemm": (64, 576, 8192),
         "loader_samples": 256,
         "loader_batch": 32,
     },
     "tiny": {
         "conv_x": (8, 8, 8, 8),
         "conv_w": (8, 8, 3, 3),
-        "gemm": (16, 128, 2048),
         "loader_samples": 64,
         "loader_batch": 16,
     },
 }
-
-_THREAD_POINTS = (1, 2, 4)
 
 
 def _conv_state(cfg):
@@ -71,62 +64,6 @@ def build_runtime_suite(scale: str) -> List[BenchCase]:
     cfg = _SCALES[scale]
     cases: List[BenchCase] = []
     batch = float(cfg["conv_x"][0])
-
-    # -- thread scaling: conv fwd+bwd ----------------------------------
-    def make_conv_thread_case(threads: int) -> BenchCase:
-        def setup():
-            from repro import runtime
-
-            previous = runtime.num_threads()
-            runtime.set_num_threads(threads)
-            return _conv_state(cfg), previous
-
-        def fn(state):
-            return _conv_fwd_bwd(state[0])
-
-        def teardown(state):
-            from repro import runtime
-
-            runtime.set_num_threads(state[1])
-
-        return BenchCase(
-            f"conv2d_fwd_bwd_t{threads}", setup, fn, batch, "image", teardown=teardown
-        )
-
-    cases.extend(make_conv_thread_case(t) for t in _THREAD_POINTS)
-
-    # -- thread scaling: bare sharded GEMM -----------------------------
-    def make_gemm_case(threads: int) -> BenchCase:
-        m, k, n = cfg["gemm"]
-
-        def setup():
-            from repro import runtime
-
-            previous = runtime.num_threads()
-            runtime.set_num_threads(threads)
-            rng = np.random.default_rng(1)
-            a = rng.standard_normal((m, k)).astype(np.float32)
-            b = rng.standard_normal((k, n)).astype(np.float32)
-            out = np.empty((m, n), dtype=np.float32)
-            return (a, b, out), previous
-
-        def fn(state):
-            from repro import runtime
-
-            a, b, out = state[0]
-            return runtime.parallel_gemm(a, b, out=out)
-
-        def teardown(state):
-            from repro import runtime
-
-            runtime.set_num_threads(state[1])
-
-        return BenchCase(
-            f"gemm_shard_t{threads}", setup, fn, float(2 * m * k * n) / 1e9, "gflop",
-            teardown=teardown,
-        )
-
-    cases.extend(make_gemm_case(t) for t in _THREAD_POINTS)
 
     # -- arena on/off --------------------------------------------------
     def make_arena_case(enabled: bool) -> BenchCase:

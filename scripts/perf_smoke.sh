@@ -11,12 +11,10 @@
 # The committed baseline stores both quick- and tiny-scale sections; this
 # script compares against the tiny section (BENCH_perf_tiny.json alongside
 # the quick-scale BENCH_perf.json).  Refresh baselines after intentional
-# perf changes with (REPRO_NUM_THREADS=1 keeps them comparable to this
-# gate, which pins one compute thread):
-#   REPRO_NUM_THREADS=1 PYTHONPATH=src python -m benchmarks.perf.run \
-#       --suite all --label baseline
-#   REPRO_NUM_THREADS=1 PYTHONPATH=src python -m benchmarks.perf.run \
-#       --suite ops --suite csq --suite infer --suite intgemm --scale tiny \
+# perf changes with:
+#   PYTHONPATH=src python -m benchmarks.perf.run --suite all --label baseline
+#   PYTHONPATH=src python -m benchmarks.perf.run \
+#       --suite ops --suite csq --suite infer --scale tiny \
 #       --label baseline-tiny --warmup 3 --iters 21 \
 #       --output BENCH_perf_tiny.json
 # (The tiny baseline uses more iterations than the smoke run: sub-ms cases
@@ -57,11 +55,8 @@ if missing:
     raise SystemExit(f"Baseline lacks gated integer-activation cases: {sorted(missing)}")
 EOF
 
-# The regression gate is pinned to one compute thread: the committed tiny
-# baseline was recorded at REPRO_NUM_THREADS=1, and comparing timings taken
-# at different thread counts would make the gate meaningless.
-REPRO_NUM_THREADS=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m benchmarks.perf.run \
-    --suite ops --suite csq --suite infer --suite intgemm \
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m benchmarks.perf.run \
+    --suite ops --suite csq --suite infer \
     --scale tiny --warmup 2 --iters 7 \
     --label smoke --output "$CANDIDATE"
 
@@ -79,60 +74,4 @@ python scripts/perf_compare.py "$BASELINE" "$CANDIDATE" \
 # only with a written justification — this gate enforces the "zero-cost
 # when disabled, cheap when enabled" claim in OBSERVABILITY.md.
 echo "Running telemetry on/off overhead gate..."
-REPRO_NUM_THREADS=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python scripts/telemetry_gate.py
-
-# Integer-GEMM kernel sanity: the certified dense kernel must agree with
-# float BLAS to float tolerance, the bit-plane path must equal the dense
-# integer result bit-for-bit, and both must be thread-count-invariant
-# (not timed, not gated).
-echo "Running int-GEMM kernel sanity check..."
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'EOF'
-import numpy as np
-from repro import runtime
-from repro.runtime.intgemm import bitplane_gemm, int_gemm, pack_weight_bitplanes
-
-rng = np.random.default_rng(0)
-w = rng.integers(-2, 2, size=(24, 576), dtype=np.int64)   # 2-bit codes
-x = rng.integers(0, 16, size=(576, 700), dtype=np.int64)  # 4-bit codes
-
-dense = int_gemm(w, x)
-float_ref = w.astype(np.float32) @ x.astype(np.float32)
-assert np.allclose(dense, float_ref), "dense-int kernel diverged from float BLAS"
-
-bitplane = bitplane_gemm(pack_weight_bitplanes(w), x, 4)
-assert np.array_equal(dense.astype(np.int64), bitplane.astype(np.int64)), \
-    "bit-plane kernel diverged from dense-int"
-
-with runtime.thread_scope(2):
-    assert np.array_equal(int_gemm(w, x), dense), "int_gemm 2-thread parity"
-    assert np.array_equal(bitplane_gemm(pack_weight_bitplanes(w), x, 4), bitplane), \
-        "bitplane_gemm 2-thread parity"
-print("int-GEMM kernels: dense==float (allclose), bitplane==dense (exact), 2-thread parity OK")
-EOF
-
-# Two-thread sanity: the sharded kernels must produce bitwise-identical
-# forward/backward results with the pool engaged (not timed, not gated).
-echo "Running 2-thread parity sanity check..."
-REPRO_NUM_THREADS=2 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'EOF'
-import numpy as np
-from repro import runtime
-from repro.autograd import ops
-from repro.autograd.tensor import Tensor
-
-assert runtime.num_threads() == 2, runtime.num_threads()
-rng = np.random.default_rng(0)
-x_data = rng.standard_normal((8, 6, 10, 10)).astype(np.float32)
-w_data = rng.standard_normal((12, 6, 3, 3)).astype(np.float32)
-results = {}
-for threads in (1, 2):
-    with runtime.thread_scope(threads):
-        x = Tensor(x_data, requires_grad=True)
-        w = Tensor(w_data, requires_grad=True)
-        out = ops.conv2d(x, w, stride=1, padding=1)
-        out.sum().backward()
-        results[threads] = (out.data.copy(), x.grad.copy(), w.grad.copy())
-for got, want in zip(results[2], results[1]):
-    assert np.array_equal(got, want), "multi-thread conv results diverged"
-print("2-thread conv fwd/bwd parity: bitwise equal")
-EOF
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python scripts/telemetry_gate.py

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.autograd.tensor import ArrayLike, Tensor, ensure_tensor, unbroadcast
 from repro.runtime.arena import BufferArena, default_arena
-from repro.runtime.threadpool import parallel_apply, parallel_gemm
+from repro.runtime.threadpool import parallel_gemm
 
 # ---------------------------------------------------------------------------
 # Elementwise arithmetic
@@ -508,9 +508,7 @@ def softmax(x: ArrayLike, axis: int = -1) -> Tensor:
 # arena-pooled column buffer — kernel_h * kernel_w large vectorized copies,
 # which beats both ``np.add.at`` fancy indexing and a single reshape-copy of
 # an ``as_strided`` 6-D patch view (the 6-D iterator degrades to tiny inner
-# runs; the per-offset slices keep NumPy's 4-D copy loops hot).  The gather
-# is sharded across the runtime thread pool; shards write disjoint slices,
-# so results are bitwise identical at any thread count.
+# runs; the per-offset slices keep NumPy's 4-D copy loops hot).
 #
 # Conv backward-data can run as a *transposed convolution*: the incoming
 # gradient is (fractionally-strided) dilated, gathered with the same fast
@@ -609,7 +607,7 @@ def im2col(
                         cols6[lo:hi, di, dj],
                         src[lo:hi, :, row, dj:dj + stride * out_w:stride],
                     )
-        parallel_apply(gather, channels)
+        gather(0, channels)
     else:
         def gather(lo: int, hi: int) -> None:
             for di in range(kernel_h):
@@ -619,7 +617,7 @@ def im2col(
                         cols6[:, di, dj, lo:hi],
                         src[:, lo:hi, row, dj:dj + stride * out_w:stride],
                     )
-        parallel_apply(gather, batch)
+        gather(0, batch)
 
     if padded is not x:
         arena.release(padded)
@@ -678,8 +676,8 @@ def conv2d_backward_data(
       path for exotic geometries (``padding > kernel - 1``, non-square
       kernels).
 
-    The choice depends only on shapes — never on thread count — keeping
-    results bitwise reproducible at any ``REPRO_NUM_THREADS``.
+    The choice depends only on shapes, so a given geometry always takes
+    the same path and produces the same bits.
 
     ``grad_flat`` may pass an already-packed ``(C_out, N*oh*ow)`` view of
     ``grad`` (channel-major) so the col2im path avoids re-packing it.
@@ -832,8 +830,8 @@ def conv2d(
         grad_weight = np.empty(
             (out_channels, rows_g), dtype=np.result_type(grad_flat.dtype, cols.dtype)
         )
-        # Row sharding keeps each weight-gradient element one full-length
-        # reduction, preserving bitwise determinism across thread counts.
+        # Row blocks keep each weight-gradient element one full-length
+        # reduction.
         if groups == 1:
             parallel_gemm(grad_flat, cols.T, out=grad_weight, shard="rows")
         else:

@@ -39,14 +39,7 @@ from repro.deploy.artifact import QuantizedTensorRecord
 from repro.nn.module import Module
 from repro.quant.act_quant import RANGE_FLOOR
 from repro.runtime.arena import BufferArena
-from repro.runtime.intgemm import (
-    KernelChoice,
-    bitplane_gemm,
-    bitplanes_from_payload,
-    natural_int_dtype,
-    pack_weight_bitplanes,
-    select_kernel,
-)
+from repro.runtime.intgemm import certify_kernel
 from repro.runtime.threadpool import parallel_gemm
 
 
@@ -142,16 +135,14 @@ class ActQuantSpec:
 class GemmKernel:
     """Executes one layer's GEMM into the step's float32 output.
 
-    The kernel is chosen once at plan-compile time by
-    :func:`repro.runtime.intgemm.select_kernel` from the layer's reduction
-    length and code bit widths (``REPRO_INT_GEMM`` overrides the policy);
-    steps only ever call :meth:`conv` / :meth:`linear`.  ``tag`` is the
-    per-layer suffix the plan summary shows (``int8``/``int16``/``bp2``);
-    float kernels keep their describe strings unchanged.
+    ``tag`` is the per-layer suffix the plan summary shows: ``int8`` or
+    ``int16`` for a layer certified at plan-compile time as an exact integer
+    GEMM (:func:`repro.runtime.intgemm.certify_kernel`), ``f32`` otherwise;
+    ``f32`` layers keep their describe strings unchanged.  Steps only ever
+    call :meth:`conv` / :meth:`linear`.
     """
 
     tag = "f32"
-    is_float = True
 
     def conv(self, cols: np.ndarray, out: np.ndarray) -> None:  # pragma: no cover
         raise NotImplementedError
@@ -161,10 +152,18 @@ class GemmKernel:
 
 
 class FloatGemmKernel(GemmKernel):
-    """Float32 BLAS on the float operand matrix (the default path)."""
+    """Float32 BLAS on the float operand matrix.
 
-    def __init__(self, w_mat: np.ndarray) -> None:
+    A certified integer layer runs this same kernel: with its bound under
+    2**24 every product and partial sum is an integer exactly representable
+    in float32, so the float pipeline **is** an exact int32-accumulating
+    integer GEMM, bitwise equal to the float32 eval graph by construction.
+    Only the ``tag`` differs.
+    """
+
+    def __init__(self, w_mat: np.ndarray, tag: str = "f32") -> None:
         self.w_mat = w_mat
+        self.tag = tag
         self._w_t: Optional[np.ndarray] = None
 
     @property
@@ -223,123 +222,18 @@ class GroupedGemmKernel(GemmKernel):
         raise PlanError("GroupedGemmKernel only executes convolutions")
 
 
-class DenseIntGemmKernel(FloatGemmKernel):
-    """Dense integer GEMM with compile-time-certified accumulation.
-
-    ``w_codes`` holds the weight codes at their natural integer dtype
-    (int8/int16 — the compiled plan's stored representation).  The
-    ``f32`` engine issues the *identical* BLAS call the float path would:
-    with the layer's bound under 2**24 every product and partial sum is an
-    integer exactly representable in float32, so the float pipeline **is**
-    an exact int32-accumulating integer GEMM — integer semantics at full
-    BLAS speed, and bitwise parity with the float32 eval graph by
-    construction.  The ``f64``/``exact`` engines (int64-range accumulation
-    for bounds past 2**24; reachable via ``REPRO_INT_GEMM=dense``) compute
-    the true integer result where float32 would round — served logits then
-    deviate from the float32-trained eval graph by design.
-    """
-
-    is_float = False
-
-    def __init__(self, w_codes: np.ndarray, w_mat: np.ndarray, choice: KernelChoice) -> None:
-        super().__init__(w_mat)
-        self.w_codes = w_codes
-        self.engine = choice.engine
-        self.acc_dtype = choice.acc_dtype
-        self.tag = choice.tag
-        self._w_wide: Optional[np.ndarray] = None
-
-    def _wide(self) -> np.ndarray:
-        if self._w_wide is None:
-            dtype = np.float64 if self.engine == "f64" else np.int64
-            self._w_wide = self.w_codes.astype(dtype)
-        return self._w_wide
-
-    def conv(self, cols: np.ndarray, out: np.ndarray) -> None:
-        if self.engine == "f32":
-            parallel_gemm(self.w_mat, cols, out=out)
-            return
-        wide = self._wide()
-        np.copyto(out, parallel_gemm(wide, cols.astype(wide.dtype)), casting="unsafe")
-
-    def linear(self, x: np.ndarray) -> np.ndarray:
-        if self.engine == "f32":
-            return x @ self.w_t
-        wide = self._wide()
-        return parallel_gemm(x.astype(wide.dtype), wide.T).astype(np.float32)
-
-
-class BitplaneGemmKernel(GemmKernel):
-    """Popcount GEMM over packed bit planes (very low weight bits).
-
-    The weight planes are sliced straight out of the artifact's packed
-    payload when the record still carries it; activation codes are
-    re-packed per call.  Results are exact integers — bitwise identical to
-    the dense kernel — but the path only pays off where float BLAS is slow
-    or absent (see the selection policy); it is reached via
-    ``REPRO_INT_GEMM=bitplane``.
-    """
-
-    is_float = False
-
-    def __init__(self, planes, a_bits: int, choice: KernelChoice) -> None:
-        self.planes = planes
-        self.a_bits = a_bits
-        self.acc_dtype = choice.acc_dtype
-        self.tag = choice.tag
-
-    def conv(self, cols: np.ndarray, out: np.ndarray) -> None:
-        codes = cols.astype(np.int32)
-        np.copyto(out, bitplane_gemm(self.planes, codes, self.a_bits), casting="unsafe")
-
-    def linear(self, x: np.ndarray) -> np.ndarray:
-        codes = x.T.astype(np.int32)  # (K, batch) column-major view of the batch
-        acc = bitplane_gemm(self.planes, codes, self.a_bits)
-        return np.ascontiguousarray(acc.T).astype(np.float32)
-
-
 def _record_kernel(
     record: QuantizedTensorRecord, w_mat: np.ndarray, act_quant: Optional[ActQuantSpec]
 ) -> GemmKernel:
-    """Build the compile-time-selected GEMM kernel for one artifact record.
-
-    The natural-dtype code matrix and the bit planes are memoized on the
-    record (like the float operand), so every session cloned from one
-    artifact shares a single copy per representation.
-    """
-    rows = w_mat.shape[0]
-    q_flat = record.q.reshape(rows, -1)
-    w_lo = int(q_flat.min()) if q_flat.size else 0
-    w_hi = int(q_flat.max()) if q_flat.size else 0
-    choice = select_kernel(
+    """The float GEMM kernel of one artifact record, tagged by certification."""
+    q_flat = record.q.reshape(w_mat.shape[0], -1)
+    tag = certify_kernel(
         k=w_mat.shape[1],
-        w_lo=w_lo,
-        w_hi=w_hi,
+        w_lo=int(q_flat.min()) if q_flat.size else 0,
+        w_hi=int(q_flat.max()) if q_flat.size else 0,
         a_bits=act_quant.bits if act_quant is not None else None,
-        w_plane_bits=record.packed_bits or None,
     )
-    if choice.kind == "dense":
-        w_codes = getattr(record, "_w_codes_nat", None)
-        if w_codes is None:
-            w_codes = np.ascontiguousarray(q_flat.astype(natural_int_dtype(w_lo, w_hi)))
-            w_codes.flags.writeable = False
-            record._w_codes_nat = w_codes
-        return DenseIntGemmKernel(w_codes, w_mat, choice)
-    if choice.kind == "bitplane":
-        planes = getattr(record, "_bitplanes", None)
-        if planes is None:
-            if record.packed is not None and record.packed.bits:
-                planes = bitplanes_from_payload(
-                    record.packed.data,
-                    record.packed.bits,
-                    record.packed.offset,
-                    (rows, q_flat.shape[1]),
-                )
-            else:
-                planes = pack_weight_bitplanes(q_flat)
-            record._bitplanes = planes
-        return BitplaneGemmKernel(planes, act_quant.bits, choice)
-    return FloatGemmKernel(w_mat)
+    return FloatGemmKernel(w_mat, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +274,7 @@ class ConvStep(Step):
     Consequence: a step's output is only valid until its next call — plans
     are therefore not re-entrant, and
     :class:`~repro.deploy.session.InferenceSession.run` copies the final
-    logits out.  The GEMM is sharded across the runtime thread pool when
-    ``REPRO_NUM_THREADS`` allows.
+    logits out.
     """
 
     def __init__(
@@ -461,7 +354,7 @@ class ConvStep(Step):
 
     def describe(self) -> str:
         tail = f"+{self.act_quant.describe()}" if self.act_quant is not None else ""
-        if not self.kernel.is_float:
+        if self.kernel.tag != "f32":
             tail += f"+{self.kernel.tag}"
         if self.groups > 1:
             tail += f"+g{self.groups}"
@@ -527,7 +420,7 @@ class LinearStep(Step):
 
     def describe(self) -> str:
         tail = f"+{self.act_quant.describe()}" if self.act_quant is not None else ""
-        if not self.kernel.is_float:
+        if self.kernel.tag != "f32":
             tail += f"+{self.kernel.tag}"
         tail += "+bn" if self._folded_bn else ""
         tail += "+relu" if self.relu else ""
@@ -831,8 +724,8 @@ class PlanBuilder:
                 # activation dequantization fold into one output multiplier.
                 dequant = dequant * act_quant.scale
             if groups > 1:
-                # Grouped convs run per-group float BLAS; the integer-GEMM
-                # selection policy only covers full-matrix kernels.
+                # Grouped convs run per-group float BLAS; integer
+                # certification only tags full-matrix kernels.
                 kernel = GroupedGemmKernel(w_mat, groups)
             else:
                 kernel = _record_kernel(record, w_mat, act_quant)
@@ -1010,8 +903,8 @@ def plan_summary(steps: List[Step]) -> str:
 def step_kernel_tags(step: Step) -> Dict[str, str]:
     """``layer name -> kernel tag`` for every GEMM kernel nested in ``step``.
 
-    Tags are the compile-time kernel selections the plan summary shows
-    (``f32``/``int8``/``int16``/``bp{bits}``); residual steps contribute
+    Tags are the compile-time certifications the plan summary shows
+    (``f32``/``int8``/``int16``); residual steps contribute
     their main and shortcut sub-plans.  The per-step profiler and the
     ``plan.step`` trace spans attach exactly this mapping, so a trace can
     be checked against :meth:`InferenceSession.summary` tag-for-tag.

@@ -179,11 +179,11 @@ class InferenceSession:
     def gemm_kernels(self) -> Dict[str, str]:
         """``layer name -> kernel tag`` for every GEMM step of the plan.
 
-        Tags come from the compile-time kernel selection
-        (:func:`repro.runtime.intgemm.select_kernel`): ``f32`` for the float
-        path, ``int8``/``int16`` for the dense integer kernel, ``bp{bits}``
-        for the bit-plane popcount kernel.  The same tags appear per layer
-        in :meth:`summary` (e.g. ``conv[conv1]+aq4+int8+bn+relu``).
+        Tags come from the compile-time certification
+        (:func:`repro.runtime.intgemm.certify_kernel`): ``int8``/``int16``
+        for a layer whose float32 GEMM is an exact integer GEMM, ``f32``
+        otherwise.  The same tags appear per layer in :meth:`summary`
+        (e.g. ``conv[conv1]+aq4+int8+bn+relu``).
         """
 
         kernels: Dict[str, str] = {}

@@ -47,8 +47,8 @@ def git_sha(root: Optional[str] = None) -> str:
 def blas_block() -> Dict[str, object]:
     """BLAS vendor, version and live OpenBLAS thread count — read, never set.
 
-    The BLAS pool's thread count changes GEMM timings as much as
-    ``REPRO_NUM_THREADS`` does, so it is read back from the loaded library
+    The BLAS pool's thread count changes GEMM timings and bits, so it is
+    read back from the loaded library
     (``ctypes``) rather than inferred from ``OPENBLAS_NUM_THREADS``, which
     is recorded alongside.  Fields degrade to ``"unavailable (...)"``
     strings on builds without a bundled OpenBLAS.
@@ -83,30 +83,23 @@ def blas_block() -> Dict[str, object]:
 def environment_block() -> Dict[str, object]:
     """Interpreter + machine + compute-runtime metadata recorded per run.
 
-    The thread configuration is part of a result's identity: runs recorded
-    at different ``REPRO_NUM_THREADS`` (or on hosts with different core
-    counts) must never be silently compared, so both are recorded — as are
-    the arena, int-GEMM, and telemetry knobs, the BLAS build and its live
-    thread count (:func:`blas_block`), and the git SHA of the checkout that
-    produced the numbers.
+    The BLAS thread configuration is part of a result's identity: GEMMs
+    at different BLAS thread counts (or on hosts with different core
+    counts) differ in their last bits, so runs recorded under them must
+    never be silently compared.  Both are recorded — as are the arena and
+    telemetry knobs, the BLAS build and its live thread count
+    (:func:`blas_block`), and the git SHA of the checkout that produced
+    the numbers.
     """
     import numpy as np
 
-    try:
-        from repro.runtime import num_threads
-        threads: object = num_threads()
-    except Exception:  # library not importable (foreign checkout): raw env
-        threads = os.environ.get("REPRO_NUM_THREADS", "unset")
     block: Dict[str, object] = {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "git_sha": git_sha(),
-        "repro_num_threads": threads,
-        "repro_num_threads_env": os.environ.get("REPRO_NUM_THREADS", "unset"),
         "repro_arena": os.environ.get("REPRO_ARENA", "unset"),
-        "repro_int_gemm": os.environ.get("REPRO_INT_GEMM", "unset"),
         "repro_telemetry": os.environ.get("REPRO_TELEMETRY", "unset"),
     }
     block.update(blas_block())
@@ -117,8 +110,7 @@ def environment_block() -> Dict[str, object]:
 #: (the loadgen self-check and the tier-1 smoke assert these).
 REQUIRED_MANIFEST_FIELDS = ("label", "created_unix", "environment", "params")
 REQUIRED_ENVIRONMENT_FIELDS = (
-    "git_sha", "numpy", "cpu_count",
-    "repro_num_threads", "repro_arena", "repro_int_gemm",
+    "git_sha", "numpy", "cpu_count", "blas_threads", "repro_arena",
 )
 
 

@@ -1,17 +1,15 @@
-"""Process-wide compute runtime: worker thread pool + scratch buffer arena.
+"""Process-wide compute runtime: blocked GEMM + scratch buffer arena.
 
 Shared by the training stack (:mod:`repro.autograd.ops`) and the serving
 stack (:mod:`repro.deploy`):
 
-* :func:`parallel_apply` / :func:`parallel_gemm` shard large copies and
-  matmuls across a persistent :class:`ThreadPool` (``REPRO_NUM_THREADS``
-  knob, bitwise-deterministic at any thread count);
+* :func:`parallel_gemm` runs large matmuls as a shape-derived list of
+  fixed-size blocks, so a given shape always produces the same bits;
 * :class:`BufferArena` recycles the large intermediates both stacks
   allocate on every step (``REPRO_ARENA=0`` bypasses pooling);
-* :mod:`repro.runtime.intgemm` provides integer GEMM kernels for code ×
-  code matmuls — :func:`int_gemm` with compile-time-certified int32/int64
-  accumulation, a bit-plane popcount path on packed payloads, and the
-  shape/bits-driven :func:`select_kernel` (``REPRO_INT_GEMM`` knob).
+* :mod:`repro.runtime.intgemm` certifies, per layer and at plan-compile
+  time, when a code × code float32 GEMM is an exact integer GEMM
+  (:func:`certify_kernel`).
 """
 
 from repro.runtime.arena import (
@@ -20,54 +18,16 @@ from repro.runtime.arena import (
     default_arena,
     set_arena_enabled,
 )
-from repro.runtime.intgemm import (
-    BitplaneWeights,
-    KernelChoice,
-    accumulator_dtype,
-    bitplane_gemm,
-    bitplanes_from_payload,
-    gemm_bound,
-    gemm_engine,
-    int_gemm,
-    natural_int_dtype,
-    pack_weight_bitplanes,
-    popcount,
-    select_kernel,
-)
-from repro.runtime.threadpool import (
-    ThreadPool,
-    get_pool,
-    num_threads,
-    parallel_apply,
-    parallel_gemm,
-    set_num_threads,
-    shard_bounds,
-    thread_scope,
-)
+from repro.runtime.intgemm import certify_kernel, gemm_bound, natural_int_dtype
+from repro.runtime.threadpool import parallel_gemm
 
 __all__ = [
-    "BitplaneWeights",
     "BufferArena",
-    "KernelChoice",
-    "ThreadPool",
-    "accumulator_dtype",
     "arena_enabled",
-    "bitplane_gemm",
-    "bitplanes_from_payload",
+    "certify_kernel",
     "default_arena",
     "gemm_bound",
-    "gemm_engine",
-    "get_pool",
-    "int_gemm",
     "natural_int_dtype",
-    "num_threads",
-    "pack_weight_bitplanes",
-    "parallel_apply",
     "parallel_gemm",
-    "popcount",
-    "select_kernel",
     "set_arena_enabled",
-    "set_num_threads",
-    "shard_bounds",
-    "thread_scope",
 ]

@@ -1,125 +1,38 @@
-"""Integer GEMM kernels: code × code matmul with integer accumulation.
+"""Compile-time certification of code × code GEMMs as exact integer GEMMs.
 
 The deployment plan multiplies *integer code* operands — weight codes from
-the artifact, activation codes from the frozen quantization grid — but a
-NumPy-on-CPU host has exactly one fast matmul: float BLAS.  NumPy's native
-integer ``matmul`` has no BLAS backing and measures 50–150× slower than
-float32 BLAS on the development host, so a naive "switch the GEMM dtype to
-int32" would destroy serving throughput.  This module provides honest
-integer semantics at BLAS speed where that is mathematically possible, and
-true integer pipelines everywhere else:
+the artifact, activation codes from the frozen quantization grid — with
+float32 BLAS.  Every product and partial sum of such a GEMM is an integer
+of known magnitude: with operand ranges ``[w_lo, w_hi]`` × ``[a_lo, a_hi]``
+over a reduction of length ``K``, no intermediate can exceed
+``K · max|w·a|`` (:func:`gemm_bound`).  Below ``2**24`` every intermediate
+is exactly representable in float32, so float32 BLAS **is** an exact
+int32-accumulating integer GEMM (each add of exactly-representable
+integers whose result is also exactly representable is exact, regardless
+of association order).
 
-**Dense integer GEMM with certified accumulation** (:func:`int_gemm`).
-Every product and partial sum of a code × code GEMM is an integer of known
-magnitude: with operand ranges ``[w_lo, w_hi]`` × ``[a_lo, a_hi]`` over a
-reduction of length ``K``, no intermediate can exceed
-``K · max|w·a|`` (:func:`gemm_bound`).  That bound picks the compute
-engine *at compile time*:
-
-* ``f32`` — bound < 2**24: every intermediate is exactly representable in
-  float32, so float32 BLAS **is** an exact int32-accumulating integer GEMM
-  (each add of exactly-representable integers whose result is also
-  exactly representable is exact, regardless of association order);
-* ``f64`` — bound < 2**53: same argument in float64 (the int64-range
-  fallback for reductions that could overflow an int32 accumulator);
-* ``exact`` — beyond 2**53: NumPy's own int64 matmul (slow, always right).
-
-The result dtype is int32, or int64 when the bound does not fit int32
-(:func:`accumulator_dtype`) — chosen from the bound, i.e. from the
-manifest's bit widths, never from runtime values.  Work is decomposed into
-the same fixed-size shape-derived blocks as
-:func:`repro.runtime.threadpool.parallel_gemm` (it literally runs through
-it), so results are bitwise identical at any thread count.
-
-**Bit-plane popcount GEMM** (:func:`bitplane_gemm`).  For very low weight
-bits the offset-binary representation of :mod:`repro.deploy.packing`
-decomposes the weight matrix as ``W = offset + Σ_p 2^p · B_p`` with binary
-planes ``B_p``, and a nonnegative activation code matrix as
-``X = Σ_q 2^q · X_q``, giving
-
-``W @ X = offset · colsum(X) + Σ_{p,q} 2^{p+q} · popcount_gemm(B_p, X_q)``
-
-where ``popcount_gemm(B, X)[m, n] = popcount(B_packed[m] & X_packed[n])``
-runs 8 elements per byte on packed bit rows.  Weight planes are sliced
-straight out of the artifact's packed payload
-(:func:`bitplanes_from_payload`) — the integer codes are never
-materialized for this path.  ``popcount`` uses ``np.bitwise_count`` when
-the NumPy build has it, with a 256-entry lookup-table fallback for older
-builds.
-
-**Kernel selection** (:func:`select_kernel`).  Shape/bits-driven choice
-between ``dense-int``, ``bitplane`` and the float path, overridable with
-the ``REPRO_INT_GEMM`` environment variable (``auto``/``float``/``dense``/
-``bitplane``).  ``auto`` picks the dense integer kernel whenever the f32
-bound certifies it — that engine runs the identical BLAS call the float
-path would, so integer semantics cost nothing — and falls back to float
-otherwise, because matching the frozen CSQ eval graph bit-for-bit requires
-float32 arithmetic exactly when the integer result and the float32 result
-diverge.  The bit-plane path is never chosen automatically on a BLAS host
-(measured 40–180× slower than f32 BLAS here; it beats NumPy's integer
-matmul by ~4× and is the fastest *pure-integer* pipeline, which matters on
-BLAS-less builds): force it with ``REPRO_INT_GEMM=bitplane``.
+:func:`certify_kernel` makes that check per layer at plan-compile time,
+from the manifest's code ranges alone, and returns the tag the plan
+summary shows: ``int8``/``int16`` for a certified layer, ``f32`` otherwise.
+The GEMM itself is the same float32 BLAS call either way.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.runtime.threadpool import parallel_apply, parallel_gemm
+# ``perfbench/trace.py`` wraps ``parallel_gemm`` by name on this module.
+from repro.runtime.threadpool import parallel_gemm  # noqa: F401
 
 #: Largest magnitude for which every intermediate of an integer GEMM is
-#: exactly representable in float32 / float64.
+#: exactly representable in float32.
 F32_EXACT_BOUND = 1 << 24
-F64_EXACT_BOUND = 1 << 53
-
-#: Column-block width of the bit-plane GEMM: bounds the (M, block, Kb)
-#: broadcast scratch and gives the thread pool work items.  Fixed by the
-#: kernel, never by the thread count — integer accumulation is associative,
-#: but disjoint fixed blocks keep the structure identical to the dense path.
-_BITPLANE_COL_BLOCK = 512
-
-#: Environment knob for :func:`select_kernel`.
-ENV_KNOB = "REPRO_INT_GEMM"
-_MODES = ("auto", "float", "dense", "bitplane")
 
 
 class IntGemmError(ValueError):
-    """Raised on invalid operands or an unknown selection mode."""
-
-
-# ---------------------------------------------------------------------------
-# Popcount
-# ---------------------------------------------------------------------------
-
-#: ``np.bitwise_count`` when this NumPy build ships it; tests monkeypatch
-#: this to ``None`` to exercise the lookup-table fallback.
-_bitwise_count = getattr(np, "bitwise_count", None)
-_POPCOUNT_LUT = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
-
-
-def popcount(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-element set-bit count of a uint8 array.
-
-    Uses ``np.bitwise_count`` (NumPy >= 2.0) when available; otherwise a
-    256-entry lookup table — same bytes either way.
-    """
-    if x.dtype != np.uint8:
-        raise IntGemmError(f"popcount expects uint8, got {x.dtype}")
-    if _bitwise_count is not None:
-        return _bitwise_count(x, out=out)
-    if out is None:
-        return _POPCOUNT_LUT[x]
-    np.take(_POPCOUNT_LUT, x, out=out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Compile-time range analysis
-# ---------------------------------------------------------------------------
+    """Raised on an invalid reduction length or code range."""
 
 
 def gemm_bound(k: int, w_lo: int, w_hi: int, a_lo: int, a_hi: int) -> int:
@@ -133,20 +46,6 @@ def gemm_bound(k: int, w_lo: int, w_hi: int, a_lo: int, a_hi: int) -> int:
         raise IntGemmError(f"reduction length must be >= 0, got {k}")
     corners = (w_lo * a_lo, w_lo * a_hi, w_hi * a_lo, w_hi * a_hi)
     return int(k) * max(abs(int(c)) for c in corners)
-
-
-def accumulator_dtype(bound: int) -> np.dtype:
-    """int32 when the bound fits, else int64 — the compile-time fallback."""
-    return np.dtype(np.int32) if bound < 2 ** 31 else np.dtype(np.int64)
-
-
-def gemm_engine(bound: int) -> str:
-    """Compute engine certified exact for ``bound``: f32, f64 or exact."""
-    if bound < F32_EXACT_BOUND:
-        return "f32"
-    if bound < F64_EXACT_BOUND:
-        return "f64"
-    return "exact"
 
 
 def natural_int_dtype(lo: int, hi: int) -> np.dtype:
@@ -171,325 +70,30 @@ def natural_int_dtype(lo: int, hi: int) -> np.dtype:
     raise IntGemmError(f"range [{lo}, {hi}] exceeds 64-bit integers")
 
 
-def _operand_range(x: np.ndarray) -> Tuple[int, int]:
-    if x.size == 0:
-        return 0, 0
-    return int(x.min()), int(x.max())
+def certify_kernel(k: int, w_lo: int, w_hi: int, a_bits: Optional[int]) -> str:
+    """Kernel tag of one layer's GEMM, decided at plan-compile time.
 
-
-# ---------------------------------------------------------------------------
-# Dense integer GEMM
-# ---------------------------------------------------------------------------
-
-
-def int_gemm(
-    a: np.ndarray,
-    b: np.ndarray,
-    out: Optional[np.ndarray] = None,
-    bounds: Optional[Tuple[int, int, int, int]] = None,
-    threads: Optional[int] = None,
-) -> np.ndarray:
-    """Exact ``a @ b`` of integer operands with integer accumulation.
-
-    ``bounds`` is ``(a_lo, a_hi, b_lo, b_hi)`` — the compile-time operand
-    ranges (e.g. from a manifest's bit widths).  When omitted they are
-    measured from the operands, which keeps the call exact but moves the
-    engine choice to run time.  The result dtype is int32, or int64 when
-    ``gemm_bound`` does not fit an int32 accumulator; pass ``out`` to pin
-    it (it must be large enough for the bound).
-
-    Blocked identically to :func:`~repro.runtime.threadpool.parallel_gemm`
-    (the f32/f64 engines run through it), so results are bitwise identical
-    at any thread count.
+    ``k`` is the reduction length, ``[w_lo, w_hi]`` the weight code range
+    and ``a_bits`` the activation bit width (``None`` = float activations).
+    Integer activations whose bound stays under ``2**24`` are tagged with
+    the wider of the two operands' natural integer widths (``int8`` or
+    ``int16``); everything else is ``f32``.
     """
-    if a.ndim != 2 or b.ndim != 2:
-        raise IntGemmError(f"int_gemm needs 2-D operands, got {a.ndim}-D @ {b.ndim}-D")
-    for name, operand in (("a", a), ("b", b)):
-        if not np.issubdtype(operand.dtype, np.integer):
-            raise IntGemmError(
-                f"int_gemm operand {name} must be an integer array, got {operand.dtype}"
-            )
-    if bounds is None:
-        bounds = _operand_range(a) + _operand_range(b)
-    a_lo, a_hi, b_lo, b_hi = bounds
-    bound = gemm_bound(a.shape[1], a_lo, a_hi, b_lo, b_hi)
-    acc_dtype = accumulator_dtype(bound) if out is None else out.dtype
-    engine = gemm_engine(bound)
-    if engine == "exact":
-        # No float engine is exact: run NumPy's own integer matmul on int64
-        # operands, still through the fixed-block decomposition.
-        result = parallel_gemm(
-            a.astype(np.int64, copy=False),
-            b.astype(np.int64, copy=False),
-            threads=threads,
-        )
-    else:
-        compute = np.float32 if engine == "f32" else np.float64
-        result = parallel_gemm(a.astype(compute), b.astype(compute), threads=threads)
-    if out is None:
-        # Exact integers in a float array: astype truncates correctly.
-        return result.astype(acc_dtype)
-    np.copyto(out, result, casting="unsafe")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Bit-plane popcount GEMM
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BitplaneWeights:
-    """Row-packed binary planes of an offset-binary weight matrix.
-
-    ``planes[p][m]`` is row ``m`` of plane ``p`` packed 8 elements/byte
-    (little-endian), so ``W[m, k] = offset + Σ_p 2^p · bit_p(m, k)``.
-    """
-
-    planes: np.ndarray  #: (bits, M, ceil(K/8)) uint8
-    offset: int
-    shape: Tuple[int, int]  #: (M, K)
-
-    @property
-    def bits(self) -> int:
-        return int(self.planes.shape[0])
-
-
-def pack_weight_bitplanes(q: np.ndarray) -> BitplaneWeights:
-    """Offset-binary bit planes of an integer matrix (rows packed)."""
-    if q.ndim != 2:
-        raise IntGemmError(f"pack_weight_bitplanes needs a 2-D matrix, got {q.ndim}-D")
-    if not np.issubdtype(q.dtype, np.integer):
-        raise IntGemmError(f"pack_weight_bitplanes needs integer codes, got {q.dtype}")
-    rows, cols = q.shape
-    if q.size == 0:
-        return BitplaneWeights(np.zeros((0, rows, 0), dtype=np.uint8), 0, (rows, cols))
-    offset = int(q.min())
-    shifted = (q.astype(np.int64) - offset).astype(np.uint64)
-    bits = int(shifted.max()).bit_length()
-    planes = np.stack(
-        [
-            np.packbits(((shifted >> p) & 1).astype(np.uint8), axis=1, bitorder="little")
-            for p in range(bits)
-        ]
-    ) if bits else np.zeros((0, rows, (cols + 7) // 8), dtype=np.uint8)
-    return BitplaneWeights(planes, offset, (rows, cols))
-
-
-def bitplanes_from_payload(
-    data: np.ndarray, bits: int, offset: int, shape: Tuple[int, int]
-) -> BitplaneWeights:
-    """Bit planes sliced straight out of a packed offset-binary payload.
-
-    ``data`` is the little-endian bit stream :func:`repro.deploy.packing`
-    writes (``bits`` per element, elements in C order of ``shape``).  The
-    stream is re-viewed as a ``(count, bits)`` bit matrix and each column
-    re-packed along K — the integer codes themselves are **never
-    materialized**, which is the point of running on the packed payload.
-    """
-    rows, cols = shape
-    count = rows * cols
-    if bits == 0 or count == 0:
-        return BitplaneWeights(
-            np.zeros((0, rows, (cols + 7) // 8), dtype=np.uint8), offset, (rows, cols)
-        )
-    flat_bits = np.unpackbits(data, count=count * bits, bitorder="little")
-    bit_matrix = flat_bits.reshape(rows, cols, bits)
-    planes = np.stack(
-        [
-            np.packbits(bit_matrix[:, :, p], axis=1, bitorder="little")
-            for p in range(bits)
-        ]
-    )
-    return BitplaneWeights(planes, offset, (rows, cols))
-
-
-def pack_activation_bitplanes(x: np.ndarray, bits: int) -> np.ndarray:
-    """Column-packed planes of a nonnegative activation code matrix.
-
-    ``x`` is ``(K, N)`` integer codes in ``[0, 2^bits - 1]``; the result is
-    ``(bits, ceil(K/8), N)`` uint8 — plane ``q`` of column ``n`` packs the
-    ``q``-th bits of that column's K codes, ready to AND against a packed
-    weight row.
-    """
-    if x.ndim != 2:
-        raise IntGemmError(f"activation codes must be 2-D (K, N), got {x.ndim}-D")
-    codes = x.astype(np.int64, copy=False)
-    return np.stack(
-        [
-            np.packbits(((codes >> q) & 1).astype(np.uint8), axis=0, bitorder="little")
-            for q in range(bits)
-        ]
-    )
-
-
-def bitplane_gemm(
-    weights: BitplaneWeights,
-    x: np.ndarray,
-    a_bits: int,
-    out: Optional[np.ndarray] = None,
-    threads: Optional[int] = None,
-) -> np.ndarray:
-    """``W @ x`` as shifted sums of AND+popcount over packed bit planes.
-
-    ``x`` is ``(K, N)`` nonnegative integer codes (any integer dtype, or an
-    integer-valued float array, which is cast).  The result is exact
-    integer arithmetic — bitwise identical to :func:`int_gemm` on the
-    unpacked codes — with dtype int32/int64 chosen from the compile-time
-    bound.  Accumulation is pure integer addition over fixed column
-    blocks, so the result is identical at any thread count.
-    """
-    rows, k = weights.shape
-    if x.shape[0] != k:
-        raise IntGemmError(
-            f"operand mismatch: weights are {weights.shape}, activations {x.shape}"
-        )
-    if not np.issubdtype(x.dtype, np.integer):
-        x = x.astype(np.int64)
-    lo, hi = _operand_range(x)
-    if lo < 0:
-        raise IntGemmError("bitplane_gemm needs nonnegative activation codes")
-    if hi >= 2 ** a_bits:
-        raise IntGemmError(
-            f"activation code {hi} does not fit {a_bits} bit plane(s) — "
-            f"high bits would be silently dropped"
-        )
-    w_hi = weights.offset + (2 ** weights.bits - 1 if weights.bits else 0)
-    bound = gemm_bound(k, weights.offset, w_hi, 0, 2 ** a_bits - 1)
-    acc_dtype = accumulator_dtype(bound) if out is None else out.dtype
-    n = x.shape[1]
-    if out is None:
-        out = np.empty((rows, n), dtype=acc_dtype)
-    x_planes = pack_activation_bitplanes(x, a_bits)
-    # The offset term is rank-1: offset · colsum(X) added to every row.
-    col_sums = (
-        x.sum(axis=0, dtype=np.int64) * int(weights.offset)
-        if weights.offset
-        else None
-    )
-
-    def block(lo_col: int, hi_col: int) -> None:
-        acc = np.zeros((rows, hi_col - lo_col), dtype=np.int64)
-        for p in range(weights.bits):
-            w_plane = weights.planes[p][:, :, None]  # (M, Kb, 1)
-            for q in range(a_bits):
-                x_plane = x_planes[q][None, :, lo_col:hi_col]  # (1, Kb, nb)
-                counts = popcount(w_plane & x_plane)
-                acc += counts.sum(axis=1, dtype=np.int64) << (p + q)
-        if col_sums is not None:
-            acc += col_sums[lo_col:hi_col]
-        np.copyto(out[:, lo_col:hi_col], acc, casting="unsafe")
-
-    # Unlike the float GEMMs, *any* column decomposition is bitwise-safe
-    # here — integer addition is associative — so the shards can come from
-    # parallel_apply directly; the min_chunk floor just keeps per-task
-    # broadcast scratch (M × block × Kb bytes) bounded.
-    if n <= _BITPLANE_COL_BLOCK:
-        block(0, n)
-    else:
-        parallel_apply(block, n, min_chunk=_BITPLANE_COL_BLOCK, threads=threads)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Kernel selection
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelChoice:
-    """Compile-time decision for one layer's GEMM."""
-
-    kind: str  #: ``"float"`` | ``"dense"`` | ``"bitplane"``
-    engine: str  #: compute engine of the dense path (``f32``/``f64``/``exact``)
-    acc_dtype: np.dtype  #: accumulator the bound certifies (int32/int64)
-    tag: str  #: summary suffix, e.g. ``int8`` / ``bp2`` / ``f32``
-
-
-def selection_mode(mode: Optional[str] = None) -> str:
-    """The active selection mode (argument > ``REPRO_INT_GEMM`` env > auto)."""
-    raw = (mode or os.environ.get(ENV_KNOB, "auto") or "auto").strip().lower()
-    if raw not in _MODES:
-        raise IntGemmError(
-            f"{ENV_KNOB} must be one of {_MODES}, got {raw!r}"
-        )
-    return raw
-
-
-def select_kernel(
-    k: int,
-    w_lo: int,
-    w_hi: int,
-    a_bits: Optional[int],
-    w_plane_bits: Optional[int] = None,
-    mode: Optional[str] = None,
-) -> KernelChoice:
-    """Choose the GEMM kernel for a layer at plan-compile time.
-
-    Parameters are all manifest-derived: ``k`` the reduction length,
-    ``[w_lo, w_hi]`` the weight code range, ``a_bits`` the activation bit
-    width (``None`` = float activations), ``w_plane_bits`` the packed
-    offset-binary width (defaults to the span's bit length).
-
-    ``auto`` policy (see the module docstring for the measurements):
-
-    * float activations can only run the float kernel;
-    * the dense integer kernel is selected whenever the f32 bound
-      certifies it — that engine is the identical BLAS call the float
-      path would make, so exact integer semantics are free *and* output
-      parity with the float32 eval graph is bitwise by construction;
-    * beyond the f32 bound the integer result and the float32 eval graph
-      genuinely diverge; serving parity wins and the float path is kept
-      (``REPRO_INT_GEMM=dense`` forces the f64/exact integer engines);
-    * the bit-plane path is measured 40–180× slower than f32 BLAS on a
-      BLAS host and is never chosen automatically
-      (``REPRO_INT_GEMM=bitplane`` forces it for packable layers).
-    """
-    mode = selection_mode(mode)
     if a_bits is None or a_bits >= 32:
-        return KernelChoice("float", "f32", np.dtype(np.int32), "f32")
+        return "f32"
     a_hi = 2 ** a_bits - 1
-    bound = gemm_bound(k, w_lo, w_hi, 0, a_hi)
-    acc = accumulator_dtype(bound)
-    engine = gemm_engine(bound)
-    if w_plane_bits is None:
-        w_plane_bits = max(int(w_hi) - int(w_lo), 0).bit_length()
-    dense_bits = 8 * max(
+    if gemm_bound(k, w_lo, w_hi, 0, a_hi) >= F32_EXACT_BOUND:
+        return "f32"
+    bits = 8 * max(
         natural_int_dtype(w_lo, w_hi).itemsize, natural_int_dtype(0, a_hi).itemsize
     )
-    dense = KernelChoice("dense", engine, acc, f"int{dense_bits}")
-    if mode == "float":
-        return KernelChoice("float", "f32", acc, "f32")
-    if mode == "bitplane":
-        if w_plane_bits == 0:
-            # Constant-code layer: the bit-plane sum is empty; dense keeps
-            # the offset-only semantics without a degenerate kernel.
-            return dense
-        return KernelChoice("bitplane", "int", acc, f"bp{w_plane_bits}")
-    if mode == "dense":
-        return dense
-    # auto
-    if engine == "f32":
-        return dense
-    return KernelChoice("float", "f32", acc, "f32")
+    return f"int{bits}"
 
 
 __all__ = [
     "F32_EXACT_BOUND",
-    "F64_EXACT_BOUND",
-    "BitplaneWeights",
     "IntGemmError",
-    "KernelChoice",
-    "accumulator_dtype",
-    "bitplane_gemm",
-    "bitplanes_from_payload",
+    "certify_kernel",
     "gemm_bound",
-    "gemm_engine",
-    "int_gemm",
     "natural_int_dtype",
-    "pack_activation_bitplanes",
-    "pack_weight_bitplanes",
-    "popcount",
-    "select_kernel",
-    "selection_mode",
 ]

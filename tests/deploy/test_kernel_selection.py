@@ -1,19 +1,15 @@
-"""Compile-time GEMM kernel selection wired through plan and session.
+"""Compile-time integer certification wired through plan and session.
 
-The contract: an integer-activation artifact compiles with the dense
-integer kernel wherever the f32 bound certifies it (summary tags show
-which path is live per layer), forcing ``REPRO_INT_GEMM=float`` restores
-the plain float path with bitwise-identical logits, and forcing
-``bitplane`` serves the exact same numbers through the popcount kernels.
-Float-activation plans keep their kernel tags out of the summary so the
-existing describe strings are untouched.
+The contract: an integer-activation artifact tags every layer whose bound
+certifies float32 BLAS as an exact integer GEMM (summary tags show it per
+layer), while float-activation plans keep their kernel tags out of the
+summary so the existing describe strings are untouched.
 """
 
-import numpy as np
 import pytest
 
 from repro.deploy import InferenceSession, load_artifact, save_artifact
-from repro.runtime.intgemm import ENV_KNOB
+from repro.deploy.plan import FloatGemmKernel
 from tests.deploy.conftest import frozen_mixed_model
 
 _KWARGS = {"num_classes": 10, "width_mult": 0.25}
@@ -31,8 +27,7 @@ def act4_artifact(artifact_path):
     return load_artifact(artifact_path)
 
 
-def test_auto_selects_dense_int_kernels(act4_artifact, monkeypatch):
-    monkeypatch.delenv(ENV_KNOB, raising=False)
+def test_certified_layers_are_tagged_int8(act4_artifact):
     session = InferenceSession(act4_artifact)
     kernels = session.gemm_kernels
     assert kernels, "plan reported no GEMM steps"
@@ -40,35 +35,12 @@ def test_auto_selects_dense_int_kernels(act4_artifact, monkeypatch):
     summary = session.summary()
     assert "gemm=int8" in summary
     assert "+aq4+int8" in summary
+    # A certified layer runs the float32 BLAS kernel; only its tag differs.
+    for _, step in _gemm_steps(session.plan):
+        assert type(step.kernel) is FloatGemmKernel
 
 
-def test_forced_float_is_bitwise_identical(act4_artifact, monkeypatch, rng):
-    monkeypatch.delenv(ENV_KNOB, raising=False)
-    auto = InferenceSession(act4_artifact)
-    monkeypatch.setenv(ENV_KNOB, "float")
-    floated = InferenceSession(act4_artifact)
-    assert set(floated.gemm_kernels.values()) == {"f32"}
-    assert "+int8" not in floated.summary()
-    x = rng.standard_normal(_SHAPE).astype(np.float32)
-    np.testing.assert_array_equal(auto.run(x), floated.run(x))
-
-
-def test_forced_bitplane_matches_auto_exactly(act4_artifact, monkeypatch, rng):
-    monkeypatch.delenv(ENV_KNOB, raising=False)
-    auto = InferenceSession(act4_artifact)
-    monkeypatch.setenv(ENV_KNOB, "bitplane")
-    bitplane = InferenceSession(act4_artifact)
-    tags = set(bitplane.gemm_kernels.values())
-    assert tags and all(tag.startswith("bp") for tag in tags), tags
-    assert "+bp" in bitplane.summary()
-    x = rng.standard_normal(_SHAPE).astype(np.float32)
-    # Certified f32 BLAS and the popcount path compute the same exact
-    # integers; the folded output affine sees identical inputs.
-    np.testing.assert_array_equal(auto.run(x), bitplane.run(x))
-
-
-def test_float_activation_plan_keeps_float_kernels(artifact_path, monkeypatch):
-    monkeypatch.delenv(ENV_KNOB, raising=False)
+def test_float_activation_plan_keeps_float_kernels(artifact_path):
     model = frozen_mixed_model("resnet20", precisions=(2, 3, 4, 5), **_KWARGS)
     model.eval()
     save_artifact(model, artifact_path, arch="resnet20", arch_kwargs=_KWARGS)
@@ -76,16 +48,15 @@ def test_float_activation_plan_keeps_float_kernels(artifact_path, monkeypatch):
     assert session.activation_mode == "float"
     assert set(session.gemm_kernels.values()) == {"f32"}
     # Float plans keep the pre-existing describe strings: no kernel tags.
-    assert "+int" not in session.summary() and "+bp" not in session.summary()
+    assert "+int" not in session.summary()
 
 
-def test_clones_share_kernel_operands(act4_artifact, monkeypatch):
-    monkeypatch.delenv(ENV_KNOB, raising=False)
+def test_clones_share_kernel_operands(act4_artifact):
     session = InferenceSession(act4_artifact)
     clone = session.clone()
     first = {name: step for name, step in _gemm_steps(session.plan)}
     for name, step in _gemm_steps(clone.plan):
-        assert step.kernel.w_codes is first[name].kernel.w_codes, name
+        assert step.kernel.w_mat is first[name].kernel.w_mat, name
 
 
 def _gemm_steps(steps):

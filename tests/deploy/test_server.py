@@ -31,10 +31,12 @@ def test_served_results_match_session(session, rng):
 
 def test_microbatching_coalesces_requests(session, rng):
     examples = _examples(rng, 16)
-    with Server(session, max_batch=16, max_wait_ms=50.0) as server:
-        # Submit everything before the worker's wait window closes, from many
-        # client threads, then gather.
-        futures = []
+    # The first request's batch stalls, so the other 15, submitted from many
+    # client threads meanwhile, find a backlog however slowly those threads
+    # start; then gather.
+    faults = FaultPlan(seed=0).slow_at(0, ms=300)
+    with Server(session, max_batch=16, max_wait_ms=50.0, faults=faults) as server:
+        futures = [server.submit(examples[0])]
         lock = threading.Lock()
 
         def client(x):
@@ -42,7 +44,7 @@ def test_microbatching_coalesces_requests(session, rng):
             with lock:
                 futures.append(f)
 
-        threads = [threading.Thread(target=client, args=(x,)) for x in examples]
+        threads = [threading.Thread(target=client, args=(x,)) for x in examples[1:]]
         for t in threads:
             t.start()
         for t in threads:

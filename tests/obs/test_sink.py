@@ -114,6 +114,10 @@ class TestManifest:
         assert environment["cpu_count"] == os.cpu_count()
         for field in ("blas_vendor", "blas_version", "blas_threads", "openblas_num_threads_env"):
             assert field in environment, field
+        # The BLAS thread count decides GEMM bits, so a manifest without it
+        # does not count as reproducible.
+        assert "blas_threads" in REQUIRED_ENVIRONMENT_FIELDS
+        assert not {"repro_num_threads", "repro_int_gemm"} & set(environment)
 
     def test_validate_manifest_reports_missing(self):
         manifest = run_manifest("x")

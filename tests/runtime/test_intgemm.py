@@ -1,39 +1,31 @@
-"""Property tests for the integer GEMM kernels.
+"""Compile-time integer certification of code × code float32 GEMMs.
 
-Every kernel claims *exact* integer arithmetic; the tests hold each one to
-a float64 (or object-int) reference across bit widths 1–16, odd shapes,
-extreme offsets, reduction lengths that straddle the int32 -> int64
-accumulator boundary, and 1/2/4 compute threads (bitwise parity, same
-discipline as ``test_parallel_parity.py``).
+A layer is tagged ``int8``/``int16`` only when its bound certifies that
+float32 BLAS computes the exact integer result; the tests hold the
+certified GEMM to an object-int reference across bit widths, odd shapes
+and the largest certified reduction.
 """
 
 import numpy as np
 import pytest
 
-from repro.runtime import intgemm
 from repro.runtime.intgemm import (
-    BitplaneWeights,
+    F32_EXACT_BOUND,
     IntGemmError,
-    accumulator_dtype,
-    bitplane_gemm,
-    bitplanes_from_payload,
+    certify_kernel,
     gemm_bound,
-    gemm_engine,
-    int_gemm,
     natural_int_dtype,
-    pack_activation_bitplanes,
-    pack_weight_bitplanes,
-    popcount,
-    select_kernel,
 )
-from repro.runtime.threadpool import thread_scope
-
-_THREADS = (1, 2, 4)
+from repro.runtime.threadpool import parallel_gemm
 
 
 def _reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer matmul via Python ints (never overflows, never rounds)."""
     return np.matmul(a.astype(object), b.astype(object)).astype(np.int64)
+
+
+def _f32_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return parallel_gemm(a.astype(np.float32), b.astype(np.float32)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -49,18 +41,6 @@ def test_gemm_bound_is_corner_product_times_k():
         gemm_bound(-1, 0, 1, 0, 1)
 
 
-def test_gemm_engine_thresholds():
-    assert gemm_engine(2 ** 24 - 1) == "f32"
-    assert gemm_engine(2 ** 24) == "f64"
-    assert gemm_engine(2 ** 53 - 1) == "f64"
-    assert gemm_engine(2 ** 53) == "exact"
-
-
-def test_accumulator_dtype_boundary():
-    assert accumulator_dtype(2 ** 31 - 1) == np.dtype(np.int32)
-    assert accumulator_dtype(2 ** 31) == np.dtype(np.int64)
-
-
 def test_natural_int_dtype():
     assert natural_int_dtype(0, 255) == np.dtype(np.uint8)
     assert natural_int_dtype(0, 256) == np.dtype(np.uint16)
@@ -72,246 +52,53 @@ def test_natural_int_dtype():
 
 
 # ---------------------------------------------------------------------------
-# Popcount
+# Exactness of the certified GEMM
 # ---------------------------------------------------------------------------
 
 
-def test_popcount_matches_lut_fallback(monkeypatch):
-    rng = np.random.default_rng(0)
-    x = rng.integers(0, 256, size=(37, 11), dtype=np.uint8)
-    fast = popcount(x).copy()
-    monkeypatch.setattr(intgemm, "_bitwise_count", None)
-    slow = popcount(x)
-    np.testing.assert_array_equal(fast, slow)
-    out = np.empty_like(x)
-    assert popcount(x, out=out) is out
-    np.testing.assert_array_equal(out, fast)
-
-
-def test_popcount_rejects_non_uint8():
-    with pytest.raises(IntGemmError):
-        popcount(np.zeros(4, dtype=np.int32))
-
-
-# ---------------------------------------------------------------------------
-# Dense integer GEMM
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("bits", [1, 2, 3, 4, 7, 8, 12, 16])
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 7, 8])
 @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 17, 5), (13, 29, 7)])
-def test_int_gemm_exact_across_bit_widths(bits, shape):
+def test_certified_f32_gemm_is_exact_across_bit_widths(bits, shape):
     m, k, n = shape
     rng = np.random.default_rng(bits * 100 + k)
     lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    assert gemm_bound(k, lo, hi, 0, 2 ** bits - 1) < F32_EXACT_BOUND
     a = rng.integers(lo, hi + 1, size=(m, k), dtype=np.int64)
     b = rng.integers(0, 2 ** bits, size=(k, n), dtype=np.int64)
-    result = int_gemm(a, b)
-    np.testing.assert_array_equal(result.astype(np.int64), _reference(a, b))
+    np.testing.assert_array_equal(_f32_gemm(a, b), _reference(a, b))
 
 
-@pytest.mark.parametrize(
-    "bounds",
-    [
-        (-8, 7, 0, 15),  # f32 engine
-        (-(2 ** 15), 2 ** 15 - 1, 0, 2 ** 16 - 1),  # f64 engine
-        (-(2 ** 27), 2 ** 27 - 1, 0, 2 ** 27 - 1),  # exact engine
-    ],
-)
-def test_int_gemm_every_engine_is_exact(bounds):
-    rng = np.random.default_rng(42)
-    a = rng.integers(bounds[0], min(bounds[1], 2 ** 15 - 1) + 1, size=(9, 33), dtype=np.int64)
-    b = rng.integers(bounds[2], min(bounds[3], 2 ** 15 - 1) + 1, size=(33, 21), dtype=np.int64)
-    result = int_gemm(a, b, bounds=bounds)
-    np.testing.assert_array_equal(result.astype(np.int64), _reference(a, b))
-
-
-def test_int_gemm_straddles_int32_accumulator_boundary():
-    # K · max|w·a| on either side of 2**31: the result dtype must widen.
-    hi = 2 ** 11 - 1  # 12-bit codes: product magnitude up to ~2**24
-    k_small = 100  # bound ~2**30.6  -> int32
-    k_large = 600  # bound ~2**33.2  -> int64
-    rng = np.random.default_rng(3)
-    for k, expect in ((k_small, np.int32), (k_large, np.int64)):
-        a = rng.integers(-hi - 1, hi + 1, size=(4, k), dtype=np.int64)
-        b = rng.integers(0, hi + 1, size=(k, 6), dtype=np.int64)
-        result = int_gemm(a, b)
-        assert result.dtype == np.dtype(expect), k
-        np.testing.assert_array_equal(result.astype(np.int64), _reference(a, b))
-
-
-def test_int_gemm_extreme_values_near_engine_limit():
-    # Max-magnitude codes at the largest K the f32 engine certifies.
+def test_certified_f32_gemm_exact_at_the_bound():
+    # Max-magnitude codes at the largest K the bound certifies.
     hi = 2 ** 11
-    k = (2 ** 24 // (hi * hi)) - 1  # bound just under 2**24
+    k = (F32_EXACT_BOUND // (hi * hi)) - 1
+    assert gemm_bound(k, -hi, -hi, hi, hi) < F32_EXACT_BOUND
     a = np.full((2, k), -hi, dtype=np.int64)
     b = np.full((k, 3), hi, dtype=np.int64)
-    assert gemm_engine(gemm_bound(k, -hi, -hi, hi, hi)) == "f32"
-    result = int_gemm(a, b)
-    np.testing.assert_array_equal(result.astype(np.int64), _reference(a, b))
-
-
-def test_int_gemm_out_parameter_and_validation():
-    a = np.arange(6, dtype=np.int16).reshape(2, 3)
-    b = np.arange(12, dtype=np.int16).reshape(3, 4)
-    out = np.empty((2, 4), dtype=np.int32)
-    assert int_gemm(a, b, out=out) is out
-    np.testing.assert_array_equal(out.astype(np.int64), _reference(a, b))
-    with pytest.raises(IntGemmError):
-        int_gemm(a.astype(np.float32), b)
-    with pytest.raises(IntGemmError):
-        int_gemm(a.reshape(-1), b)
-
-
-def test_int_gemm_thread_parity():
-    rng = np.random.default_rng(11)
-    a = rng.integers(-8, 8, size=(32, 577), dtype=np.int64)
-    b = rng.integers(0, 16, size=(577, 301), dtype=np.int64)
-    outputs = []
-    for threads in _THREADS:
-        with thread_scope(threads):
-            outputs.append(int_gemm(a, b))
-    for other in outputs[1:]:
-        np.testing.assert_array_equal(outputs[0], other)
+    np.testing.assert_array_equal(_f32_gemm(a, b), _reference(a, b))
 
 
 # ---------------------------------------------------------------------------
-# Bit-plane popcount GEMM
+# Certification policy
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("w_bits", [1, 2, 3])
-@pytest.mark.parametrize("a_bits", [1, 2, 4, 8])
-@pytest.mark.parametrize("offset", [-5, -2, 0, 3])
-def test_bitplane_gemm_exact(w_bits, a_bits, offset):
-    rng = np.random.default_rng(w_bits * 31 + a_bits * 7 + offset)
-    m, k, n = 5, 43, 9  # odd K: the packed rows carry pad bits
-    q = rng.integers(offset, offset + 2 ** w_bits, size=(m, k), dtype=np.int64)
-    x = rng.integers(0, 2 ** a_bits, size=(k, n), dtype=np.int64)
-    weights = pack_weight_bitplanes(q)
-    assert weights.offset == int(q.min())
-    result = bitplane_gemm(weights, x, a_bits)
-    np.testing.assert_array_equal(result.astype(np.int64), _reference(q, x))
+def test_float_activations_stay_f32():
+    assert certify_kernel(576, -8, 7, None) == "f32"
+    assert certify_kernel(576, -8, 7, 32) == "f32"
 
 
-def test_bitplane_matches_dense_int_gemm():
-    rng = np.random.default_rng(5)
-    q = rng.integers(-2, 2, size=(7, 130), dtype=np.int64)
-    x = rng.integers(0, 16, size=(130, 23), dtype=np.int64)
-    dense = int_gemm(q, x)
-    bitplane = bitplane_gemm(pack_weight_bitplanes(q), x, 4)
-    np.testing.assert_array_equal(dense.astype(np.int64), bitplane.astype(np.int64))
+def test_certified_bound_tags_int8():
+    assert certify_kernel(576, -8, 7, 4) == "int8"
 
 
-def test_bitplane_gemm_large_n_blocks():
-    # n > _BITPLANE_COL_BLOCK exercises the blocked path.
-    rng = np.random.default_rng(6)
-    q = rng.integers(-1, 1, size=(3, 17), dtype=np.int64)
-    x = rng.integers(0, 4, size=(17, 1200), dtype=np.int64)
-    result = bitplane_gemm(pack_weight_bitplanes(q), x, 2)
-    np.testing.assert_array_equal(result.astype(np.int64), _reference(q, x))
+def test_bound_past_f32_stays_f32():
+    assert gemm_bound(10 ** 6, -127, 127, 0, 255) >= F32_EXACT_BOUND
+    assert certify_kernel(10 ** 6, -127, 127, 8) == "f32"
 
 
-def test_bitplane_gemm_thread_parity():
-    rng = np.random.default_rng(8)
-    q = rng.integers(-2, 2, size=(6, 40), dtype=np.int64)
-    x = rng.integers(0, 16, size=(40, 1500), dtype=np.int64)
-    weights = pack_weight_bitplanes(q)
-    outputs = []
-    for threads in _THREADS:
-        with thread_scope(threads):
-            outputs.append(bitplane_gemm(weights, x, 4))
-    for other in outputs[1:]:
-        np.testing.assert_array_equal(outputs[0], other)
-
-
-def test_bitplane_gemm_lut_fallback(monkeypatch):
-    rng = np.random.default_rng(9)
-    q = rng.integers(-4, 4, size=(4, 19), dtype=np.int64)
-    x = rng.integers(0, 8, size=(19, 5), dtype=np.int64)
-    weights = pack_weight_bitplanes(q)
-    fast = bitplane_gemm(weights, x, 3).copy()
-    monkeypatch.setattr(intgemm, "_bitwise_count", None)
-    slow = bitplane_gemm(weights, x, 3)
-    np.testing.assert_array_equal(fast, slow)
-
-
-def test_bitplane_gemm_rejects_bad_codes():
-    q = np.zeros((2, 8), dtype=np.int64)
-    weights = pack_weight_bitplanes(q)
-    with pytest.raises(IntGemmError):
-        bitplane_gemm(weights, np.full((8, 2), -1, dtype=np.int64), 4)
-    with pytest.raises(IntGemmError):  # 16 does not fit 4 planes
-        bitplane_gemm(weights, np.full((8, 2), 16, dtype=np.int64), 4)
-    with pytest.raises(IntGemmError):  # K mismatch
-        bitplane_gemm(weights, np.zeros((7, 2), dtype=np.int64), 4)
-
-
-def test_bitplanes_from_payload_matches_repack():
-    from repro.deploy.packing import pack_codes
-
-    rng = np.random.default_rng(10)
-    q = rng.integers(-3, 5, size=(6, 21), dtype=np.int64)
-    packed = pack_codes(q)
-    from_payload = bitplanes_from_payload(packed.data, packed.bits, packed.offset, q.shape)
-    from_codes = pack_weight_bitplanes(q)
-    assert from_payload.offset == from_codes.offset
-    assert from_payload.shape == from_codes.shape
-    np.testing.assert_array_equal(from_payload.planes, from_codes.planes)
-
-
-def test_pack_activation_bitplanes_roundtrip():
-    rng = np.random.default_rng(12)
-    x = rng.integers(0, 16, size=(13, 7), dtype=np.int64)
-    planes = pack_activation_bitplanes(x, 4)
-    assert planes.shape == (4, (13 + 7) // 8, 7)
-    rebuilt = np.zeros_like(x)
-    for q in range(4):
-        bits = np.unpackbits(planes[q], axis=0, count=13, bitorder="little")
-        rebuilt += bits.astype(np.int64) << q
-    np.testing.assert_array_equal(rebuilt, x)
-
-
-# ---------------------------------------------------------------------------
-# Kernel selection
-# ---------------------------------------------------------------------------
-
-
-def test_select_kernel_auto_policy(monkeypatch):
-    monkeypatch.delenv(intgemm.ENV_KNOB, raising=False)
-    # Float activations: only the float kernel applies.
-    assert select_kernel(576, -8, 7, None).kind == "float"
-    assert select_kernel(576, -8, 7, 32).kind == "float"
-    # Certified f32 bound: dense integer kernel for free.
-    choice = select_kernel(576, -8, 7, 4)
-    assert (choice.kind, choice.engine, choice.tag) == ("dense", "f32", "int8")
-    assert choice.acc_dtype == np.dtype(np.int32)
-    # Bound past 2**24: parity wins, float fallback.
-    assert select_kernel(10 ** 6, -127, 127, 8).kind == "float"
-
-
-def test_select_kernel_forced_modes(monkeypatch):
-    monkeypatch.delenv(intgemm.ENV_KNOB, raising=False)
-    assert select_kernel(64, -2, 1, 4, mode="float").kind == "float"
-    assert select_kernel(10 ** 6, -127, 127, 8, mode="dense").engine != "f32"
-    bp = select_kernel(64, -2, 1, 4, w_plane_bits=2, mode="bitplane")
-    assert (bp.kind, bp.tag) == ("bitplane", "bp2")
-    # Constant-code layer has no planes: bitplane degrades to dense.
-    assert select_kernel(64, 3, 3, 4, w_plane_bits=0, mode="bitplane").kind == "dense"
-
-
-def test_select_kernel_env_knob(monkeypatch):
-    monkeypatch.setenv(intgemm.ENV_KNOB, "bitplane")
-    assert select_kernel(64, -2, 1, 4, w_plane_bits=2).kind == "bitplane"
-    monkeypatch.setenv(intgemm.ENV_KNOB, "float")
-    assert select_kernel(64, -2, 1, 4).kind == "float"
-    monkeypatch.setenv(intgemm.ENV_KNOB, "bogus")
-    with pytest.raises(IntGemmError):
-        select_kernel(64, -2, 1, 4)
-
-
-def test_select_kernel_int16_tag(monkeypatch):
-    monkeypatch.delenv(intgemm.ENV_KNOB, raising=False)
+def test_wide_codes_tag_int16():
     # 9-bit weight codes need int16 storage; small K keeps the f32 bound.
-    choice = select_kernel(16, -256, 255, 4)
-    assert (choice.kind, choice.tag) == ("dense", "int16")
+    assert certify_kernel(16, -256, 255, 4) == "int16"
+    # 9-bit activation codes widen the tag just the same.
+    assert certify_kernel(16, -2, 1, 9) == "int16"
