@@ -38,7 +38,7 @@ from repro.quant.act_quant import ActivationQuantizer
 from repro.quant.functional import bit_decompose
 from repro.quant.scheme import QuantizationScheme
 from repro.quant.ste import ste_round
-from repro.training.loop import TrainingHistory, evaluate
+from repro.training.loop import TrainingHistory, evaluate, fit
 
 
 class _BSQLayerBase(Module):
@@ -194,7 +194,12 @@ class BSQConfig:
 
 
 class BSQTrainer:
-    """Train a model with BSQ: STE bit-level training + periodic bit pruning."""
+    """Train a model with BSQ: STE bit-level training + periodic bit pruning.
+
+    :meth:`train` is one :func:`repro.training.loop.fit` call: the bit
+    sparsity penalty is its ``extra_loss`` and the pruning its
+    ``on_epoch_end``, so BSQ epochs emit the shared loop's telemetry.
+    """
 
     def __init__(
         self,
@@ -221,28 +226,19 @@ class BSQTrainer:
         optimizer = SGD(
             self.model.parameters(), lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay
         )
-        scheduler = WarmupCosine(optimizer, total_epochs=cfg.epochs)
-        for epoch in range(cfg.epochs):
-            self.model.train()
-            losses, accuracies = [], []
-            for images, labels in self.train_loader:
-                logits = self.model(Tensor(images))
-                loss = F.cross_entropy(logits, labels) + self._sparsity_penalty().sum()
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                losses.append(float(loss.data))
-                accuracies.append(F.accuracy(logits, labels))
-            test_metrics = evaluate(self.model, self.test_loader)
-            self.history.train_loss.append(float(np.mean(losses)))
-            self.history.train_accuracy.append(float(np.mean(accuracies)))
-            self.history.test_loss.append(test_metrics["loss"])
-            self.history.test_accuracy.append(test_metrics["accuracy"])
-            self.history.record_extra("average_precision", self.average_precision())
-            scheduler.step()
+
+        def record_and_prune(epoch: int, history: TrainingHistory) -> None:
+            history.record_extra("average_precision", self.average_precision())
             if (epoch + 1) % cfg.prune_interval == 0:
                 for _, layer in bsq_layers(self.model):
                     layer.prune_bits(cfg.prune_threshold)
+
+        self.history = fit(
+            self.model, self.train_loader, self.test_loader, optimizer, cfg.epochs,
+            scheduler=WarmupCosine(optimizer, total_epochs=cfg.epochs),
+            extra_loss=self._sparsity_penalty,
+            on_epoch_end=record_and_prune,
+        )
         return self.history
 
     def evaluate(self) -> Dict[str, float]:

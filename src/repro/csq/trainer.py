@@ -14,31 +14,36 @@ The trainer performs, in order:
    ``(s, m_p, m_n)`` are updated.  Used for the ImageNet-scale experiments
    (Table III).
 
+Every epoch of either phase is one :func:`repro.training.loop.train_epoch`
+call (the regularizer is its ``extra_loss``), with that loop's step timing,
+telemetry and preemption hook.
+
 Histories of accuracy and average precision per epoch are recorded; the
 Figure 2 / Figure 3 benches read ``history.extra["average_precision"]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.autograd.tensor import Tensor
 from repro.csq.convert import convert_to_csq, freeze_model
-from repro.csq.gates import GateState
 from repro.csq.precision import average_precision, csq_layers, layer_precisions, model_scheme
 from repro.csq.regularizer import BudgetAwareRegularizer
 from repro.csq.temperature import ExponentialTemperatureSchedule
 from repro.data.dataloader import DataLoader
-from repro.nn import functional as F
 from repro.nn.module import Module
 from repro.optim.lr_scheduler import WarmupCosine
 from repro.optim.sgd import SGD
 from repro.quant.scheme import QuantizationScheme
-from repro.training.checkpoint import Checkpointer, TrainState, capture_rng, restore_rng
-from repro.training.loop import TrainingHistory, evaluate, iter_batches
+from repro.training.checkpoint import (
+    Checkpointer, TrainState, capture_rng, restore_rng, resume_from,
+)
+from repro.training.loop import TrainingHistory, evaluate, train_epoch
+
+# ``perfbench/trace.py`` wraps ``iter_batches`` by name on this module.
+from repro.training.loop import iter_batches  # noqa: F401
 
 
 @dataclass
@@ -90,7 +95,8 @@ class CSQTrainer:
         a phase (keeping the ``keep`` newest files).  ``resume="auto"``
         (the default) restores the newest *valid* checkpoint before
         training, skipping corrupt files, so a killed run continues
-        bitwise-exactly; ``resume="never"`` ignores existing checkpoints.
+        bitwise-exactly; ``resume="never"`` ignores existing checkpoints;
+        any other value makes :meth:`train` raise ``ValueError``.
     fault_plan:
         A :class:`repro.deploy.FaultPlan` consulted once per optimizer
         step for ``preempt@step`` injection.  Defaults to the plan in the
@@ -199,27 +205,37 @@ class CSQTrainer:
         phase — and the continued run is bitwise-identical to the
         uninterrupted one.
         """
-        resume_state = None
-        if self.checkpointer is not None and self.resume == "auto":
-            resume_state = self.checkpointer.resume()
-            if resume_state is not None:
-                self._restore(resume_state)
+        resume_state = resume_from(self.checkpointer, self.resume)
+        if resume_state is not None:
+            self._restore(resume_state)
         if resume_state is None or resume_state.phase == "csq":
-            self._run_csq_phase(resume_state)
-            self.freeze()
+            self._run_phase("csq", resume_state)
             if self.config.finetune_epochs > 0:
-                self._run_finetune_phase(None)
+                self._run_phase("finetune", None)
         else:
             # Resuming mid-finetune: the CSQ phase (and its freeze) already
             # happened; the restored gate state carries the hard mask.
-            self._run_finetune_phase(resume_state)
+            self._run_phase("finetune", resume_state)
         return self.history
 
-    def _run_csq_phase(self, resume_state: Optional[TrainState] = None) -> None:
+    def _run_phase(self, phase: str, resume_state: Optional[TrainState]) -> None:
+        """One phase of Algorithm 1 (``"csq"`` or ``"finetune"``), ending in a freeze."""
+        from repro.deploy.faults import InjectedPreemption
+
         cfg = self.config
-        schedule = ExponentialTemperatureSchedule(cfg.epochs, cfg.beta0, cfg.beta_max)
-        optimizer = self._build_optimizer(include_mask=cfg.trainable_mask)
-        lr_schedule = WarmupCosine(optimizer, total_epochs=cfg.epochs, warmup_epochs=cfg.warmup_epochs)
+        finetune = phase == "finetune"
+        extra_loss = None
+        if finetune:
+            self.state.freeze_mask_only()
+            self.state.hard_values = False  # rewind: bit representations become soft again
+            epochs, warmup_epochs, history = cfg.finetune_epochs, 0, self.finetune_history
+        else:
+            epochs, warmup_epochs, history = cfg.epochs, cfg.warmup_epochs, self.history
+            if self.regularizer is not None:
+                extra_loss = partial(self.regularizer, self.model, self.state)
+        schedule = ExponentialTemperatureSchedule(epochs, cfg.beta0, cfg.beta_max)
+        optimizer = self._build_optimizer(include_mask=cfg.trainable_mask and not finetune)
+        lr_schedule = WarmupCosine(optimizer, total_epochs=epochs, warmup_epochs=warmup_epochs)
         start_epoch = 0
         if resume_state is not None:
             start_epoch = resume_state.epoch + 1
@@ -228,76 +244,38 @@ class CSQTrainer:
             if resume_state.scheduler_state is not None:
                 lr_schedule.load_state_dict(resume_state.scheduler_state)
 
-        for epoch in range(start_epoch, cfg.epochs):
+        for epoch in range(start_epoch, epochs):
             self.state.set_temperature(schedule.value(epoch))
-            train_metrics = self._train_one_epoch(optimizer)
-            test_metrics = evaluate(self.model, self.test_loader)
-            self._record_epoch(self.history, train_metrics, test_metrics)
-            lr_schedule.step()
-            self._maybe_checkpoint("csq", epoch, optimizer, lr_schedule)
-
-    def _run_finetune_phase(self, resume_state: Optional[TrainState] = None) -> None:
-        """Mixed-precision finetuning with the bit selection fixed (Algorithm 1)."""
-        cfg = self.config
-        self.state.freeze_mask_only()
-        self.state.hard_values = False  # rewind: bit representations become soft again
-        schedule = ExponentialTemperatureSchedule(cfg.finetune_epochs, cfg.beta0, cfg.beta_max)
-        optimizer = self._build_optimizer(include_mask=False)
-        lr_schedule = WarmupCosine(optimizer, total_epochs=cfg.finetune_epochs, warmup_epochs=0)
-        start_epoch = 0
-        if resume_state is not None:
-            start_epoch = resume_state.epoch + 1
-            if resume_state.optimizer_state is not None:
-                optimizer.load_state_dict(resume_state.optimizer_state)
-            if resume_state.scheduler_state is not None:
-                lr_schedule.load_state_dict(resume_state.scheduler_state)
-
-        for epoch in range(start_epoch, cfg.finetune_epochs):
-            self.state.set_temperature(schedule.value(epoch))
-            # The mask stays hard regardless of the temperature.
-            self.state.hard_mask = True
-            train_metrics = self._train_one_epoch(optimizer, use_regularizer=False)
-            test_metrics = evaluate(self.model, self.test_loader)
-            self._record_epoch(self.finetune_history, train_metrics, test_metrics)
-            lr_schedule.step()
-            self._maybe_checkpoint("finetune", epoch, optimizer, lr_schedule)
-        self.freeze()
-
-    def _train_one_epoch(self, optimizer: SGD, use_regularizer: bool = True) -> Dict[str, float]:
-        self.model.train()
-        losses: List[float] = []
-        accuracies: List[float] = []
-        for images, labels in iter_batches(self.train_loader, prefetch=True):
-            if self.fault_plan is not None and self.fault_plan.take_preempt(self.global_step):
-                from repro.deploy.faults import InjectedPreemption
-
-                raise InjectedPreemption(
-                    f"injected preemption at training step {self.global_step}"
+            if finetune:
+                # The mask stays hard regardless of the temperature.
+                self.state.hard_mask = True
+            try:
+                train_metrics = train_epoch(
+                    self.model, self.train_loader, optimizer, extra_loss=extra_loss,
+                    fault_plan=self.fault_plan, global_step=self.global_step,
                 )
-            logits = self.model(Tensor(images))
-            loss = F.cross_entropy(logits, labels)
-            if use_regularizer and self.regularizer is not None:
-                penalty = self.regularizer(self.model, self.state)
-                loss = loss + penalty.sum()
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            self.global_step += 1
-            losses.append(float(loss.data))
-            accuracies.append(F.accuracy(logits, labels))
-        return {"loss": float(np.mean(losses)), "accuracy": float(np.mean(accuracies))}
+            except InjectedPreemption as preempted:
+                self.global_step = preempted.step  # the steps the killed run completed
+                raise
+            self.global_step += int(train_metrics["steps"])
+            test_metrics = evaluate(self.model, self.test_loader)
+            history.train_loss.append(train_metrics["loss"])
+            history.train_accuracy.append(train_metrics["accuracy"])
+            history.test_loss.append(test_metrics["loss"])
+            history.test_accuracy.append(test_metrics["accuracy"])
+            history.record_extra("average_precision", average_precision(self.model))
+            history.record_extra("beta", self.state.beta)
+            lr_schedule.step()
+            if self.checkpointer is not None:
+                self.checkpointer.maybe_save(
+                    self._checkpoint_state(phase, epoch, optimizer, lr_schedule),
+                    epoch_in_phase=epoch,
+                )
+        self.freeze()
 
     # ------------------------------------------------------------------
     # Crash-safe checkpointing
     # ------------------------------------------------------------------
-    def _maybe_checkpoint(self, phase: str, epoch: int, optimizer: SGD, scheduler) -> None:
-        if self.checkpointer is None:
-            return
-        self.checkpointer.maybe_save(
-            self._checkpoint_state(phase, epoch, optimizer, scheduler),
-            epoch_in_phase=epoch,
-        )
-
     def _checkpoint_state(self, phase: str, epoch: int, optimizer: SGD, scheduler) -> TrainState:
         return TrainState(
             model_state=self.model.state_dict(),
@@ -339,19 +317,6 @@ class CSQTrainer:
             self.state.hard_mask = bool(csq.get("hard_mask", False))
             self.frozen = bool(csq.get("frozen", False))
         restore_rng(state.rng, train_loader=self.train_loader, model=self.model)
-
-    def _record_epoch(
-        self,
-        history: TrainingHistory,
-        train_metrics: Dict[str, float],
-        test_metrics: Dict[str, float],
-    ) -> None:
-        history.train_loss.append(train_metrics["loss"])
-        history.train_accuracy.append(train_metrics["accuracy"])
-        history.test_loss.append(test_metrics["loss"])
-        history.test_accuracy.append(test_metrics["accuracy"])
-        history.record_extra("average_precision", average_precision(self.model))
-        history.record_extra("beta", self.state.beta)
 
     # ------------------------------------------------------------------
     # Finalisation and reporting

@@ -14,8 +14,8 @@ same requests on every run.
 
 The training tier consumes the same plan with its own index space: for
 ``preempt`` faults the index is the 0-based *global optimizer step*, and
-the consumer is the checkpointing training loop
-(:mod:`repro.training.checkpoint`), which dies with
+the consumer is the one training step loop
+(:func:`repro.training.loop.train_epoch`), which dies with
 :class:`InjectedPreemption` at the matched step — the seeded stand-in for
 a spot-instance preemption or an OOM kill that the resume machinery and
 ``scripts/train_resume_smoke.py`` recover from.
@@ -76,11 +76,16 @@ class InjectedPoison(InjectedFault):
 class InjectedPreemption(InjectedFault):
     """Kills a training run before the matched global optimizer step.
 
-    Raised by the checkpointing training loops when the plan marks the
-    step; deliberately *not* caught by them, so the process dies exactly
-    as a real preemption would — between a completed step and the next
-    checkpoint.
+    Raised by :func:`repro.training.loop.train_epoch` when the plan marks
+    the step; deliberately *not* swallowed by any trainer, so the process
+    dies exactly as a real preemption would — between a completed step and
+    the next checkpoint.  ``step`` is the global step it fired before, which
+    is also the number of steps the run completed.
     """
+
+    def __init__(self, step: int) -> None:
+        super().__init__(f"injected preemption at training step {step}")
+        self.step = step
 
 
 class FaultPlan:

@@ -459,3 +459,22 @@ class Checkpointer:
                 }
             )
         return state
+
+
+#: Values of the trainers' ``resume`` argument.
+RESUME_POLICIES = ("auto", "never")
+
+
+def resume_from(checkpointer: Optional[Checkpointer], resume: str) -> Optional[TrainState]:
+    """The state a run continues from under the ``resume`` policy, or ``None``.
+
+    ``"auto"`` restores the newest valid checkpoint, ``"never"`` starts
+    fresh.  Any other value raises ``ValueError`` even without a
+    checkpointer: a mistyped policy would otherwise train from scratch into
+    a directory holding another run's checkpoints.
+    """
+    if resume not in RESUME_POLICIES:
+        raise ValueError(f"resume must be one of {RESUME_POLICIES}, got {resume!r}")
+    if checkpointer is None or resume == "never":
+        return None
+    return checkpointer.resume()

@@ -1,10 +1,11 @@
-"""Generic train/eval loops used by the baselines and the CSQ trainer.
+"""The train/eval loops every trainer in the library runs through.
 
 These are deliberately minimal: one function that runs a single epoch of
 SGD over a loader, one that evaluates accuracy/loss, and a ``fit`` helper
-that strings them together with a learning-rate scheduler.  The CSQ trainer
-reuses ``evaluate`` and the history container but owns its epoch loop
-because of the extra regularization and temperature scheduling.
+that strings them together with a learning-rate scheduler.  ``train_epoch``
+is the only training step loop: the CSQ trainer calls it once per epoch of
+each phase (passing the budget-aware regularizer as ``extra_loss``) around
+its own temperature schedule, and the BSQ baseline trains through ``fit``.
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ class TrainingHistory:
 def iter_batches(loader, prefetch: bool):
     """Iterate ``loader``, adding background prefetch unless it already has it.
 
-    Public helper shared by :func:`train_epoch`, :func:`evaluate` and the
-    CSQ trainer's own epoch loop: loaders that already prefetch (a
-    ``DataLoader(prefetch=True)``) are passed through untouched, anything
-    else is wrapped with :func:`repro.data.prefetch_batches` when
-    ``prefetch`` is set."""
+    Public helper shared by :func:`train_epoch` and :func:`evaluate`:
+    loaders that already prefetch (a ``DataLoader(prefetch=True)``) are
+    passed through untouched, anything else is wrapped with
+    :func:`repro.data.prefetch_batches` when ``prefetch`` is set."""
     if prefetch and not getattr(loader, "prefetch", False):
         return prefetch_batches(loader)
     return loader
@@ -103,9 +103,7 @@ def train_epoch(
         if fault_plan is not None and fault_plan.take_preempt(global_step + len(step_times)):
             from repro.deploy.faults import InjectedPreemption
 
-            raise InjectedPreemption(
-                f"injected preemption at training step {global_step + len(step_times)}"
-            )
+            raise InjectedPreemption(global_step + len(step_times))
         step_started = time.perf_counter()
         logits = model(Tensor(images))
         loss = loss_fn(logits, labels)
@@ -179,8 +177,10 @@ def fit(
 ) -> TrainingHistory:
     """Standard training loop: ``epochs`` epochs of SGD with optional scheduler.
 
-    ``on_epoch_end(epoch, history)`` is called after each epoch — the BSQ
-    baseline uses it for its periodic precision adjustment.
+    ``extra_loss`` is passed to every :func:`train_epoch`.
+    ``on_epoch_end(epoch, history)`` is called after each epoch, after the
+    scheduler step — the BSQ baseline uses both, for its bit-sparsity
+    penalty and its periodic precision adjustment.
 
     With ``checkpoint_dir`` set, a crash-safe checkpoint is written after
     every ``checkpoint_every``-th epoch (keeping the ``keep`` newest) that
@@ -189,13 +189,16 @@ def fit(
     directory is restored before training — torn or corrupt files are
     skipped with a telemetry warning — so a killed run continues
     bitwise-exactly where the uninterrupted run would have been.  Pass
-    ``resume="never"`` to ignore existing checkpoints.  ``fault_plan``
+    ``resume="never"`` to ignore existing checkpoints; any other value
+    raises ``ValueError``.  ``fault_plan``
     threads a seeded :class:`repro.deploy.FaultPlan` into the step loop
     for ``preempt@step`` injection (when ``None``, the ``REPRO_FAULTS``
     environment knob is consulted, matching the serving tier).
     """
     from repro.deploy.faults import FaultPlan
-    from repro.training.checkpoint import Checkpointer, TrainState, capture_rng, restore_rng
+    from repro.training.checkpoint import (
+        Checkpointer, TrainState, capture_rng, restore_rng, resume_from,
+    )
 
     if fault_plan is None:
         fault_plan = FaultPlan.from_env()
@@ -207,19 +210,18 @@ def fit(
     history = TrainingHistory()
     start_epoch = 0
     global_step = 0
-    if checkpointer is not None and resume == "auto":
-        state = checkpointer.resume()
-        if state is not None:
-            model.load_state_dict(state.model_state)
-            if state.optimizer_state is not None:
-                optimizer.load_state_dict(state.optimizer_state)
-            if scheduler is not None and state.scheduler_state is not None:
-                scheduler.load_state_dict(state.scheduler_state)
-            if state.history is not None:
-                history = state.history
-            restore_rng(state.rng, train_loader=train_loader, model=model)
-            start_epoch = state.epoch + 1
-            global_step = state.step
+    state = resume_from(checkpointer, resume)
+    if state is not None:
+        model.load_state_dict(state.model_state)
+        if state.optimizer_state is not None:
+            optimizer.load_state_dict(state.optimizer_state)
+        if scheduler is not None and state.scheduler_state is not None:
+            scheduler.load_state_dict(state.scheduler_state)
+        if state.history is not None:
+            history = state.history
+        restore_rng(state.rng, train_loader=train_loader, model=model)
+        start_epoch = state.epoch + 1
+        global_step = state.step
     for epoch in range(start_epoch, epochs):
         train_metrics = train_epoch(
             model,

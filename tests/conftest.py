@@ -36,9 +36,19 @@ def _tiny_dataset(train: bool) -> SyntheticImageClassification:
     return SyntheticImageClassification(config, train=train)
 
 
-@pytest.fixture
-def tiny_loaders():
-    """Small train/test loaders for integration-style tests (fast on CPU)."""
+def _make_tiny_loaders():
     train_loader = DataLoader(_tiny_dataset(train=True), batch_size=24, shuffle=True, seed=0)
     test_loader = DataLoader(_tiny_dataset(train=False), batch_size=48)
     return train_loader, test_loader
+
+
+@pytest.fixture
+def tiny_loaders():
+    """Small train/test loaders for integration-style tests (fast on CPU)."""
+    return _make_tiny_loaders()
+
+
+@pytest.fixture
+def make_tiny_loaders():
+    """Builds fresh ``tiny_loaders`` per call, for tests that train twice on one batch stream."""
+    return _make_tiny_loaders

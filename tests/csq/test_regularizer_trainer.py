@@ -100,10 +100,9 @@ class TestCSQTrainer:
         train_loader, test_loader = tiny_loaders
         config = CSQConfig(epochs=3, finetune_epochs=2, target_bits=3.0, lr=0.05, weight_decay=0.0)
         trainer = CSQTrainer(SimpleConvNet(num_classes=4, width=4), train_loader, test_loader, config)
-        trainer._run_csq_phase()
-        trainer.freeze()
+        trainer._run_phase("csq", None)  # ends with the freeze
         scheme_before = trainer.layer_precisions()
-        trainer._run_finetune_phase()
+        trainer._run_phase("finetune", None)
         assert trainer.layer_precisions() == scheme_before
         assert len(trainer.finetune_history.test_accuracy) == 2
 

@@ -122,22 +122,57 @@ class TestNoEmissionWhenDisabled:
             session.set_profiling(False)
 
 
-class TestTrainingInstrumentation:
-    def test_train_epoch_streams_metrics_when_enabled(self, tiny_loaders, tmp_path):
-        from repro.models import SimpleConvNet
-        from repro.optim import SGD
-        from repro.training import train_epoch
+def train_tiny(trainer, loaders):
+    """Train a tiny model with ``fit``, ``CSQTrainer`` or ``BSQTrainer``.
 
-        train_loader, _ = tiny_loaders
-        model = SimpleConvNet(num_classes=4, width=4)
-        optimizer = SGD(model.parameters(), lr=0.05)
+    Returns the trained model, the per-epoch training losses (CSQ: both
+    phases, in order) and the number of optimizer steps taken.
+    """
+    from repro.baselines import BSQConfig, BSQTrainer
+    from repro.csq import CSQConfig, CSQTrainer
+    from repro.models import SimpleConvNet
+    from repro.optim import SGD
+    from repro.training import fit
+    from repro.utils import seed_everything
+
+    seed_everything(0)
+    train_loader, test_loader = loaders
+    model = SimpleConvNet(num_classes=4, width=4)
+    if trainer == "fit":
+        history = fit(model, train_loader, test_loader, SGD(model.parameters(), lr=0.05), 2)
+        return model, history.train_loss, 2 * len(train_loader)
+    if trainer == "csq":
+        csq = CSQTrainer(
+            model, train_loader, test_loader,
+            CSQConfig(epochs=2, finetune_epochs=1, lr=0.05, num_bits=4),
+        )
+        csq.train()
+        return csq.model, csq.history.train_loss + csq.finetune_history.train_loss, csq.global_step
+    bsq = BSQTrainer(
+        model, train_loader, test_loader,
+        BSQConfig(epochs=2, lr=0.05, num_bits=4, prune_interval=1),
+    )
+    bsq.train()
+    return bsq.model, bsq.history.train_loss, 2 * len(train_loader)
+
+
+class TestTrainingInstrumentation:
+    @pytest.mark.parametrize("trainer", ["fit", "csq", "bsq"])
+    def test_train_epoch_streams_metrics_when_enabled(self, make_tiny_loaders, tmp_path, trainer):
+        with obs.telemetry_scope(enabled=False):
+            reference, _, _ = train_tiny(trainer, make_tiny_loaders())
         sink = NdjsonSink(str(tmp_path / "train"), run_id="epoch")
         with obs.telemetry_scope(enabled=True, sink=sink) as handle:
-            metrics = train_epoch(model, train_loader, optimizer)
+            model, losses, steps = train_tiny(trainer, make_tiny_loaders())
             snapshot = handle.registry.snapshot()
-        assert snapshot["train.step_time_s"]["count"] == metrics["steps"]
+        assert steps > 0
+        assert snapshot["train.step_time_s"]["count"] == steps
         assert snapshot["train.images"] > 0
         records = read_ndjson(sink.events_path)
         epoch_records = [r for r in records if r["type"] == "train_epoch"]
-        assert len(epoch_records) == 1
-        assert epoch_records[0]["loss"] == pytest.approx(metrics["loss"])
+        assert [r["loss"] for r in epoch_records] == losses  # one record per epoch
+        assert sum(r["steps"] for r in epoch_records) == steps
+        # Telemetry observes training; it never changes the weights.
+        reference_state = reference.state_dict()
+        for name, value in model.state_dict().items():
+            assert value.tobytes() == reference_state[name].tobytes(), name

@@ -5,11 +5,15 @@
 ``runtime.intgemm``, ``iter_batches`` and ``evaluate`` in the training
 modules, ``compile_plan`` in the session module, ``default_arena`` for its
 miss counter, ...).  Installing and removing it against the library fails
-here, in the unit tests, when any of those names disappears.
+here, in the unit tests, when any of those names disappears; training the
+CSQ and BSQ trainers under it fails when their steps stop passing through
+the wrapped names.
 """
 
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT))
@@ -31,3 +35,30 @@ def test_tracer_installs_and_uninstalls_against_the_library():
         installation.uninstall()
     for module in (autograd_ops, plan, intgemm):
         assert module.parallel_gemm is parallel_gemm
+
+
+@pytest.mark.parametrize("trainer", ["csq", "bsq"])
+def test_paper_trainers_keep_their_per_step_spans(tiny_loaders, trainer):
+    """``optim.step`` and ``data.next_batch`` feed the benchmark's per-layer rows."""
+    from repro.baselines import BSQConfig, BSQTrainer
+    from repro.csq import CSQConfig, CSQTrainer
+    from repro.models import SimpleConvNet
+
+    train_loader, test_loader = tiny_loaders
+    model = SimpleConvNet(num_classes=4, width=4)
+    if trainer == "csq":
+        run = CSQTrainer(model, train_loader, test_loader, CSQConfig(epochs=1, num_bits=4))
+    else:
+        run = BSQTrainer(model, train_loader, test_loader, BSQConfig(epochs=1, num_bits=4))
+    tracer = Tracer()
+    installation = install(tracer)
+    try:
+        run.train()
+    finally:
+        installation.uninstall()
+    steps = len(train_loader)
+    optim_steps = [span.step for span in tracer.spans if span.name == "optim.step"]
+    fetched = {span.step for span in tracer.spans if span.name == "data.next_batch"}
+    assert optim_steps == list(range(steps))
+    # Every step's batch wait is on record, under the id of the step it fed.
+    assert set(optim_steps) <= fetched

@@ -278,3 +278,37 @@ class TestFitResume:
         _, reference_history = make_fit_run(ckpt_dir)
         model, history = make_fit_run(ckpt_dir)
         assert history.train_loss == reference_history.train_loss
+
+
+def train_with_resume(caller, loaders, checkpoint_dir, resume):
+    from repro.csq import CSQConfig, CSQTrainer
+
+    train_loader, test_loader = loaders
+    model = SimpleConvNet(num_classes=4, width=4)
+    if caller == "fit":
+        optimizer = SGD(model.parameters(), lr=0.1)
+        fit(model, train_loader, test_loader, optimizer, 1,
+            checkpoint_dir=checkpoint_dir, resume=resume)
+    else:
+        CSQTrainer(
+            model, train_loader, test_loader, CSQConfig(epochs=1),
+            checkpoint_dir=checkpoint_dir, resume=resume,
+        ).train()
+
+
+class TestResumePolicy:
+    @pytest.mark.parametrize("caller", ["fit", "csq"])
+    @pytest.mark.parametrize("resume", ["Auto", "always", None])
+    def test_unknown_policy_raises_before_training(self, tmp_path, tiny_loaders, caller, resume):
+        # A mistyped policy must not start a fresh run that writes
+        # checkpoints next to (and prunes) another run's files.
+        ckpt_dir = str(tmp_path / "ckpts")
+        with pytest.raises(ValueError, match="resume must be one of"):
+            train_with_resume(caller, tiny_loaders, ckpt_dir, resume)
+        assert not os.path.exists(ckpt_dir)
+
+    @pytest.mark.parametrize("caller", ["fit", "csq"])
+    def test_known_policies_train(self, tmp_path, tiny_loaders, caller):
+        for resume in ("auto", "never"):
+            train_with_resume(caller, tiny_loaders, str(tmp_path / resume), resume)
+            assert os.listdir(tmp_path / resume)
